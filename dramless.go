@@ -15,17 +15,15 @@
 //   - System level: RunSystem executes a workload end to end on any of
 //     the Table I organizations (Hetero, Heterodirect, Integrated-*,
 //     PAGE-buffer, NOR-intf, DRAM-less, ...), returning time and energy
-//     decompositions; Experiment regenerates any of the paper's tables
-//     and figures.
+//     decompositions; NewExperimentEngine regenerates any of the paper's
+//     tables and figures.
 //
 // All simulation is deterministic: identical inputs produce identical
 // schedules, timings and energies.
 package dramless
 
 import (
-	"fmt"
 	"io"
-	"sync"
 
 	"dramless/internal/accel"
 	"dramless/internal/experiments"
@@ -57,17 +55,6 @@ const (
 // previously written bytes and every operation reports its simulated
 // completion time.
 type Memory = mem.Device
-
-// Scheduler selects the PRAM controller policy (Figure 13).
-type Scheduler = memctrl.Scheduler
-
-// Controller scheduling policies.
-const (
-	BareMetal        = memctrl.Noop
-	Interleaving     = memctrl.Interleave
-	SelectiveErasing = memctrl.SelErase
-	Final            = memctrl.Final
-)
 
 // PRAM is the hardware-automated PRAM subsystem: two LPDDR2-NVM channels
 // of sixteen multi-partition PRAM packages behind the FPGA controller.
@@ -206,22 +193,11 @@ func (w observerOption) applySystem(c *system.Config) {
 // merge into the observer and every subsystem records trace spans).
 func WithObserver(o *Observer) CommonOption { return observerOption{o: o} }
 
-// WithScheduler selects the controller scheduling policy (default Final).
-//
-// Deprecated: the enum reaches only the four legacy schedulers; use
-// WithPolicy with a registry policy (SchedulerPolicies lists them).
-func WithScheduler(s Scheduler) PRAMOption {
-	return pramOptionFunc(func(c *memctrl.Config) {
-		c.Scheduler = s
-		c.Policy = nil
-	})
-}
-
 // SchedulerPolicy is a pluggable controller scheduling policy: a named
 // capability vector the channel machinery resolves at construction
-// (memctrl.Policy). The four legacy Scheduler values map onto the
-// canonical registered policies; the registry also carries schedulers
-// the enum cannot name ("palp", "pause-aware", "wear-aware").
+// (memctrl.Policy). The registry holds the paper's four schedulers
+// ("bare-metal", "interleaving", "selective-erasing", "final") and
+// later ones ("palp", "pause-aware", "wear-aware").
 type SchedulerPolicy = memctrl.Policy
 
 // SchedulerPolicies returns every registered scheduling policy in
@@ -239,7 +215,7 @@ func SchedulerPolicyNames() []string { return memctrl.PolicyNames() }
 func PolicyByName(name string) (SchedulerPolicy, error) { return memctrl.PolicyByName(name) }
 
 // WithPolicy selects the controller scheduling policy from the registry
-// (default Final). It supersedes any WithScheduler option.
+// (default "final").
 func WithPolicy(p SchedulerPolicy) PRAMOption {
 	return pramOptionFunc(func(c *memctrl.Config) { c.Policy = p })
 }
@@ -423,10 +399,9 @@ func RunSystem(cfg SystemConfig, w Workload) (*SystemResult, error) {
 type ExperimentTable = experiments.Table
 
 // ExperimentOptions scales the experiment harness. Parallelism bounds
-// the run engine's worker pool (0 = GOMAXPROCS, 1 = serial) and Lanes
-// the deterministic lane parallelism inside each simulation (0 = share
-// the remaining cores with the pool, -1 = legacy serial engine);
-// rendered tables are byte-identical at any setting of either.
+// the run engine's worker pool (0 = GOMAXPROCS, 1 = serial); each
+// simulation runs on one goroutine, so rendered tables and every export
+// are byte-identical at any worker count and any GOMAXPROCS.
 type ExperimentOptions = experiments.Options
 
 // ExperimentEngine is the parallel experiment run engine: one shared,
@@ -435,6 +410,8 @@ type ExperimentOptions = experiments.Options
 // once per engine no matter how many experiments need it; distinct
 // simulations run on up to ExperimentOptions.Parallelism goroutines,
 // while each simulation stays single-goroutine and deterministic.
+// Table and Tables regenerate experiments by id (ExperimentIDs lists
+// them); an unknown id errors with that list.
 type ExperimentEngine = experiments.Engine
 
 // ExperimentRunStats is the engine's cache and pool accounting
@@ -451,74 +428,8 @@ func NewExperimentEngine(o ExperimentOptions) *ExperimentEngine {
 	return experiments.NewEngine(o)
 }
 
-// defaultEngines shares one engine per distinct ExperimentOptions among
-// the deprecated free functions, so repeated Experiment calls in one
-// process hit the engine's simulation cache instead of re-simulating.
-// Options holds a slice (Kernels) and so is not comparable; the map
-// keys on a canonical rendering instead.
-var defaultEngines struct {
-	sync.Mutex
-	m map[string]*ExperimentEngine
-}
-
-// defaultEngine returns the process-wide engine for o, building it on
-// first use.
-func defaultEngine(o ExperimentOptions) *ExperimentEngine {
-	key := fmt.Sprintf("%d|%q|%d|%d|%q", o.Scale, o.Kernels, o.Parallelism, o.Lanes, o.Policy)
-	defaultEngines.Lock()
-	defer defaultEngines.Unlock()
-	if defaultEngines.m == nil {
-		defaultEngines.m = make(map[string]*ExperimentEngine)
-	}
-	eng, ok := defaultEngines.m[key]
-	if !ok {
-		eng = experiments.NewEngine(o)
-		defaultEngines.m[key] = eng
-	}
-	return eng
-}
-
-// Experiments regenerates the identified tables and figures - all of
-// them, in paper order, when ids is empty - through one shared engine,
-// so common simulations run once and independent ones run in parallel.
-//
-// Deprecated: use NewExperimentEngine(o).Tables(ids...). The engine
-// form makes the simulation cache's lifetime explicit and lets several
-// regenerations share one cache; this function delegates to a
-// process-wide engine keyed by o.
-func Experiments(o ExperimentOptions, ids ...string) ([]*ExperimentTable, error) {
-	return defaultEngine(o).Tables(ids...)
-}
-
 // ExperimentIDs lists every reproducible table and figure.
-func ExperimentIDs() []string {
-	all := experiments.All()
-	out := make([]string, 0, len(all))
-	for _, e := range all {
-		out = append(out, e.ID)
-	}
-	return out
-}
-
-// Experiment regenerates the identified table or figure ("fig15",
-// "table2", "sec5-selerase", ...) at the given options.
-//
-// Deprecated: use NewExperimentEngine(o).Table(id). This function
-// delegates to a process-wide engine keyed by o, so repeated ids reuse
-// cached simulations, but the engine form makes that sharing explicit.
-func Experiment(id string, o ExperimentOptions) (*ExperimentTable, error) {
-	known := false
-	for _, e := range experiments.All() {
-		if e.ID == id {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return nil, fmt.Errorf("dramless: unknown experiment %q (have %v)", id, ExperimentIDs())
-	}
-	return defaultEngine(o).Table(id)
-}
+func ExperimentIDs() []string { return experiments.IDs() }
 
 // FastExperiments returns options sized for quick runs; FullExperiments
 // options sized closer to the paper's volumes.

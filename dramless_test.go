@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dramless"
@@ -35,9 +36,13 @@ func TestNewPRAMRoundTrip(t *testing.T) {
 }
 
 func TestPRAMOptions(t *testing.T) {
+	bare, err := dramless.PolicyByName("bare-metal")
+	if err != nil {
+		t.Fatal(err)
+	}
 	pram, _, err := dramless.NewPRAM(
 		dramless.WithCapacityRows(1<<16),
-		dramless.WithScheduler(dramless.BareMetal),
+		dramless.WithPolicy(bare),
 		dramless.WithoutPhaseSkipping(),
 		dramless.WithoutPrefetch(),
 	)
@@ -45,7 +50,7 @@ func TestPRAMOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pram.Config()
-	if cfg.Scheduler != dramless.BareMetal || cfg.PhaseSkipping || cfg.Prefetch {
+	if cfg.Policy == nil || cfg.Policy.Name() != "bare-metal" || cfg.PhaseSkipping || cfg.Prefetch {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 }
@@ -176,14 +181,20 @@ func TestExperimentDispatch(t *testing.T) {
 	if len(ids) != 16 {
 		t.Fatalf("%d experiments, want 16", len(ids))
 	}
-	tab, err := dramless.Experiment("table2", dramless.FastExperiments())
+	eng := dramless.NewExperimentEngine(dramless.FastExperiments())
+	defer eng.Release()
+	tab, err := eng.Table("table2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tab.ID != "table2" || len(tab.Rows) == 0 {
 		t.Fatal("table2 empty")
 	}
-	if _, err := dramless.Experiment("nope", dramless.FastExperiments()); err == nil {
+	_, err = eng.Table("nope")
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	if !strings.Contains(err.Error(), "table2") {
+		t.Errorf("unknown-id error does not list the experiment ids: %v", err)
 	}
 }

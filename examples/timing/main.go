@@ -74,10 +74,14 @@ func main() {
 		plain, erased, 100*(1-float64(erased)/float64(plain)))
 
 	fmt.Println("-- Figure 12: multi-resource-aware interleaving --")
-	for _, sched := range []dramless.Scheduler{dramless.BareMetal, dramless.Interleaving} {
+	for _, name := range []string{"bare-metal", "interleaving"} {
+		pol, err := dramless.PolicyByName(name)
+		if err != nil {
+			log.Fatal(err)
+		}
 		sub, ready, err := dramless.NewPRAM(
 			dramless.WithCapacityRows(1<<16),
-			dramless.WithScheduler(sched),
+			dramless.WithPolicy(pol),
 			dramless.WithoutPrefetch())
 		if err != nil {
 			log.Fatal(err)
@@ -87,7 +91,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-18s two requests, one chip: %v\n", sched, done-ready)
+		fmt.Printf("%-18s two requests, one chip: %v\n", name, done-ready)
 	}
 
 	fmt.Println("\n-- LPDDR2-NVM command trace of one write through the controller --")

@@ -63,12 +63,6 @@ type CellTiming struct {
 	Kernel    string
 	Wall      time.Duration
 	PrefixHit bool // the cell forked an already-captured checkpoint
-	// Lane fold coverage of the cell's kernel and storage phases:
-	// total dispatched events and the share absorbed inline by lane
-	// tails. Zero events means the cell ran the legacy serial engine
-	// (no lane stats).
-	LaneEvents int64
-	LaneFolded int64
 	// Blame summary from the run's always-on time account: the largest
 	// kernel-phase account (phase prefix stripped) and its share of the
 	// kernel wall in parts per thousand.
@@ -117,17 +111,6 @@ func NewEngine(o Options) *Engine {
 			Kernel:    k.kernel,
 			Wall:      time.Since(start),
 			PrefixHit: hit,
-		}
-		if res.Report != nil && res.Report.LaneWorkers > 0 {
-			ct.LaneEvents = res.Report.Events
-			ct.LaneFolded = res.Report.LaneFolded
-		}
-		// Storage-phase lanes fold dependent drain ops the kernel
-		// report never sees; forked cells only ever have the store
-		// side (the load phase lives in the shared prefix).
-		for _, ph := range []string{"sim.lane.load.", "sim.lane.store."} {
-			ct.LaneEvents += res.Counters.Get(ph + "events")
-			ct.LaneFolded += res.Counters.Get(ph + "folded_events")
 		}
 		if top := res.Blame.TopShares("kernel/", 1); len(top) == 1 {
 			ct.BlameTop = strings.TrimPrefix(top[0].Name, "kernel/")
@@ -240,7 +223,7 @@ func (e *Engine) Table(id string) (*Table, error) {
 			return x.Gen(e)
 		}
 	}
-	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 }
 
 // Tables regenerates the identified experiments - all of them, in paper

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -32,15 +31,6 @@ type Options struct {
 	// 0 selects GOMAXPROCS; 1 forces serial execution. Rendered tables
 	// are byte-identical at any setting.
 	Parallelism int
-	// Lanes bounds lane parallelism *inside* each simulation
-	// (system.Config.Accel.Lanes). 0 is automatic: the host is divided
-	// between the worker pool and intra-simulation lanes
-	// (GOMAXPROCS/workers), falling back to the legacy serial engine
-	// when the pool already covers every core. -1 forces the legacy
-	// engine; >= 1 sets the lane goroutine bound exactly. The lane
-	// executor is deterministic, so rendered tables are byte-identical
-	// at any setting.
-	Lanes int
 	// Policy overrides the DRAM-less PRAM scheduling policy by registry
 	// name ("palp", "pause-aware", ...; see memctrl.PolicyNames).
 	// Empty keeps the config default (the legacy Final scheduler). The
@@ -73,37 +63,8 @@ func (o Options) config(kind system.Kind) system.Config {
 	for cfg.SSDCapacity < uint64(6*o.Scale) {
 		cfg.SSDCapacity *= 2
 	}
-	cfg.Accel.Lanes = o.laneBudget()
 	cfg.Policy = o.Policy
 	return cfg
-}
-
-// workers resolves Options.Parallelism the way the runner pool does.
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// laneBudget resolves Options.Lanes into the per-simulation
-// Accel.Lanes setting, sharing the host budget with the worker pool in
-// automatic mode: cores not claimed by cross-cell workers become
-// intra-cell lanes, and when the pool already covers the host the
-// legacy engine runs exactly as before (at the fast suite scale the
-// lane executor's per-dispatch classification only pays for itself
-// once it buys real parallelism).
-func (o Options) laneBudget() int {
-	switch {
-	case o.Lanes > 0:
-		return o.Lanes
-	case o.Lanes < 0:
-		return 0 // forced legacy
-	}
-	if n := runtime.GOMAXPROCS(0) / o.workers(); n >= 2 {
-		return n
-	}
-	return 0
 }
 
 // Row is one printable result row.

@@ -14,10 +14,10 @@ func quickOpts() Options {
 }
 
 func TestAllExperimentsGenerate(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Gen(quickOpts())
+			tab, err := e.Gen(NewEngine(quickOpts()))
 			if err != nil {
 				t.Fatal(err)
 			}

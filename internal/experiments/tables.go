@@ -218,24 +218,12 @@ func Registry() []Experiment {
 	}
 }
 
-// All returns every experiment generator keyed by id, in paper order.
-// Each Gen call builds a private engine; share one engine (NewEngine +
-// Table/Tables) to reuse simulations across experiments.
-func All() []struct {
-	ID  string
-	Gen func(Options) (*Table, error)
-} {
+// IDs lists every experiment id in paper order.
+func IDs() []string {
 	reg := Registry()
-	out := make([]struct {
-		ID  string
-		Gen func(Options) (*Table, error)
-	}, 0, len(reg))
-	for _, x := range reg {
-		gen := x.Gen
-		out = append(out, struct {
-			ID  string
-			Gen func(Options) (*Table, error)
-		}{x.ID, func(o Options) (*Table, error) { return gen(NewEngine(o)) }})
+	out := make([]string, len(reg))
+	for i, x := range reg {
+		out[i] = x.ID
 	}
 	return out
 }
