@@ -19,10 +19,11 @@ race:
 
 # Focused race pass on the experiments layer: the prefix checkpoint
 # cache is shared mutable state handed between worker goroutines mid-run
-# (capture once, fork concurrently), so this package keeps an explicit
-# race gate of its own even if the full-module sweep is ever trimmed.
+# (capture once, fork concurrently, free after the last fork), so this
+# package and the runner cache under it keep an explicit race gate of
+# their own even if the full-module sweep is ever trimmed.
 race-experiments:
-	$(GO) test -race -count 1 ./internal/experiments/...
+	$(GO) test -race -count 1 ./internal/experiments/... ./internal/runner/...
 
 # Focused race pass on the simulation core: each simulation runs on one
 # goroutine, but the experiment engine runs many at once, so the
@@ -102,13 +103,17 @@ blame-smoke:
 	$(GO) test -count 1 -run 'TestBlameJSONRoundTrip' ./internal/obs/
 
 # CPU + heap profiles of the Figure 15 sweep (the allocation-heaviest
-# experiment) into ./prof/; inspect with `go tool pprof prof/fig15.cpu`.
-# Profiles are scratch output (gitignored), regenerated on demand here.
+# experiment) into ./prof/, at the 128 KiB fast scale and at the 2 MiB
+# -full scale, whose hot spots differ (L2 no longer holds the working
+# set); inspect with `go tool pprof prof/fig15-full.cpu`. Profiles are
+# scratch output (gitignored), regenerated on demand here.
 profile:
 	mkdir -p prof
 	$(GO) run ./cmd/dramless experiments \
 		-cpuprofile prof/fig15.cpu -memprofile prof/fig15.mem fig15 > /dev/null
-	@echo "profiles: prof/fig15.cpu prof/fig15.mem"
+	$(GO) run ./cmd/dramless experiments -full \
+		-cpuprofile prof/fig15-full.cpu -memprofile prof/fig15-full.mem fig15 > /dev/null
+	@echo "profiles: prof/fig15.cpu prof/fig15.mem prof/fig15-full.cpu prof/fig15-full.mem"
 
 # Observability demo: one DRAM-less end-to-end run with hardware
 # counters on stdout and a simulated-time timeline in trace.json -

@@ -226,8 +226,8 @@ func cmdExperiments(args []string) {
 		}
 	}
 	if !*asJSON {
-		fmt.Printf("engine: %s; prefixes: %s; wall %v\n",
-			eng.Stats(), eng.PrefixStats(), time.Since(wall).Round(time.Millisecond))
+		fmt.Printf("engine: %s; prefixes: %s, peak %d live; wall %v\n",
+			eng.Stats(), eng.PrefixStats(), eng.PeakCheckpoints(), time.Since(wall).Round(time.Millisecond))
 	}
 	if *slowest > 0 {
 		fmt.Printf("slowest %d cells (host wall-clock):\n", *slowest)
@@ -373,8 +373,8 @@ func cmdArena(args []string) {
 		return
 	}
 	tab.Print(os.Stdout)
-	fmt.Printf("engine: %s; prefixes: %s; wall %v\n",
-		eng.Stats(), eng.PrefixStats(), time.Since(wall).Round(time.Millisecond))
+	fmt.Printf("engine: %s; prefixes: %s, peak %d live; wall %v\n",
+		eng.Stats(), eng.PrefixStats(), eng.PeakCheckpoints(), time.Since(wall).Round(time.Millisecond))
 }
 
 func cmdRun(args []string) {

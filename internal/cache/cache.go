@@ -122,6 +122,7 @@ type Cache struct {
 	cfg     Config
 	errName string // "cache <name>", precomputed so range checks don't allocate
 	lower   mem.Device
+	size    uint64 // lower.Size(), read once: a device's size is fixed at construction
 	sets    [][]line
 	slab    []byte // one backing array for every line's data
 	store   *storage
@@ -197,6 +198,7 @@ func New(cfg Config, lower mem.Device) (*Cache, error) {
 		cfg:       cfg,
 		errName:   "cache " + cfg.Name,
 		lower:     lower,
+		size:      lower.Size(),
 		sets:      st.sets,
 		slab:      st.slab,
 		store:     st,
@@ -247,7 +249,7 @@ func MustNew(cfg Config, lower mem.Device) *Cache {
 
 // Size implements mem.Device: the cache is transparent, exposing the
 // lower device's space.
-func (c *Cache) Size() uint64 { return c.lower.Size() }
+func (c *Cache) Size() uint64 { return c.size }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -338,7 +340,7 @@ func (c *Cache) fill(at sim.Time, set int, tag uint64) (int, sim.Time, error) {
 // Read implements mem.Device.
 func (c *Cache) Read(at sim.Time, addr uint64, n int) ([]byte, sim.Time, error) {
 	if n <= 0 {
-		return nil, 0, mem.CheckRange(c.errName, c.Size(), addr, n)
+		return nil, 0, mem.CheckRange(c.errName, c.size, addr, n)
 	}
 	out := make([]byte, n)
 	done, err := c.ReadInto(at, addr, out)
@@ -353,7 +355,7 @@ func (c *Cache) Read(at sim.Time, addr uint64, n int) ([]byte, sim.Time, error) 
 // TestCacheHitReadIntoAllocationFree in internal/mem).
 func (c *Cache) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error) {
 	n := len(dst)
-	if err := mem.CheckRange(c.errName, c.Size(), addr, n); err != nil {
+	if err := mem.CheckRange(c.errName, c.size, addr, n); err != nil {
 		return 0, err
 	}
 	done := at
@@ -378,7 +380,7 @@ func (c *Cache) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error)
 
 // Write implements mem.Device (write-allocate, write-back).
 func (c *Cache) Write(at sim.Time, addr uint64, data []byte) (sim.Time, error) {
-	if err := mem.CheckRange(c.errName, c.Size(), addr, len(data)); err != nil {
+	if err := mem.CheckRange(c.errName, c.size, addr, len(data)); err != nil {
 		return 0, err
 	}
 	done := at

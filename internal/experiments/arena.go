@@ -88,6 +88,8 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 	// PrefixOf normalizes Obs away, so cells still share populate/load
 	// checkpoints per (kind, policy, footprint).
 	cells := make([]*arenaCell, 0, len(kinds)*len(canon)*len(kernels))
+	cfgs := make([]system.Config, 0, cap(cells))
+	ks := make([]workload.Kernel, 0, cap(cells))
 	for _, kind := range kinds {
 		for _, pol := range canon {
 			for _, k := range kernels {
@@ -96,10 +98,12 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 				ob := obs.New()
 				cfg.Obs = ob
 				cells = append(cells, &arenaCell{policy: pol, kind: kind, kern: k, cfg: cfg, ob: ob})
-				e.prefetchCfg(cfg, k)
+				cfgs = append(cfgs, cfg)
+				ks = append(ks, k)
 			}
 		}
 	}
+	e.prefetchCells(cfgs, ks)
 	byCell := make(map[[3]string]*arenaCell, len(cells))
 	for _, c := range cells {
 		res, err := e.getCfg(c.cfg, c.kern)

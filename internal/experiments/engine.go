@@ -41,13 +41,29 @@ type Engine struct {
 	// each prefix simulates once and every cell forks from it. The
 	// runner's singleflight makes concurrent captures of one prefix
 	// coalesce; forks only read the frozen template, so any number may
-	// proceed at once.
+	// proceed at once. A template is freed after the last queued cell
+	// of its prefix forks, so the engine holds only the templates of
+	// prefixes in flight.
 	pr *runner.Runner[system.Prefix, *system.Checkpoint]
 
 	mu      sync.Mutex
-	seen    map[system.Prefix]bool
+	cells   map[runKey]system.Prefix    // every cell queued on r, with its prefix
+	tmpls   map[system.Prefix]*template // prefixes whose templates may still be forked
+	live    int                         // captured templates not yet freed
+	peak    int                         // most templates live at once
 	timings []CellTiming
-	cps     []*system.Checkpoint
+	running sync.WaitGroup // queued cells not yet finished
+
+	// While Tables starts its generators, a template whose queued cells
+	// have all finished is parked rather than freed: a generator that
+	// has not queued its cells yet may fork it (Figures 18 and 19 reuse
+	// the Figure 15 gemver and doitg prefixes). The hold ends for good
+	// the first time every running generator waits on a cell, by which
+	// point each has queued its prefetches.
+	hold    bool
+	gens    int // Tables generators that have not returned
+	waiting int // getCfg calls waiting for their cell
+	parked  []system.Prefix
 
 	// events totals the kernel-phase simulation events dispatched by
 	// the cells this engine actually ran (cache hits re-dispatch
@@ -56,13 +72,20 @@ type Engine struct {
 	events atomic.Int64
 }
 
+// template is the engine's bookkeeping for one prefix's checkpoint,
+// from the first queued cell that needs it until the last one finishes.
+type template struct {
+	pending int  // queued cells that have not finished
+	claimed bool // a cell has asked pr for the checkpoint
+}
+
 // CellTiming is the host-side wall-clock accounting of one simulation
 // cell, for the engine's -slowest report.
 type CellTiming struct {
 	Kind      system.Kind
 	Kernel    string
 	Wall      time.Duration
-	PrefixHit bool // the cell forked an already-captured checkpoint
+	PrefixHit bool // the cell forked a checkpoint another cell captured
 	// Blame summary from the run's always-on time account: the largest
 	// kernel-phase account (phase prefix stripped) and its share of the
 	// kernel wall in parts per thousand.
@@ -74,8 +97,9 @@ type CellTiming struct {
 // regenerated through the same engine share its result cache.
 func NewEngine(o Options) *Engine {
 	e := &Engine{
-		o:    o,
-		seen: map[system.Prefix]bool{},
+		o:     o,
+		cells: map[runKey]system.Prefix{},
+		tmpls: map[system.Prefix]*template{},
 	}
 	e.pr = runner.New(o.Parallelism, func(pr system.Prefix) (*system.Checkpoint, error) {
 		cp, err := system.CapturePrefix(pr)
@@ -83,17 +107,22 @@ func NewEngine(o Options) *Engine {
 			return nil, fmt.Errorf("%s prefix: %w", pr.Cfg.Kind, err)
 		}
 		e.mu.Lock()
-		e.cps = append(e.cps, cp)
+		e.live++
+		e.peak = max(e.peak, e.live)
 		e.mu.Unlock()
 		return cp, nil
 	})
 	e.r = runner.New(o.Parallelism, func(k runKey) (*system.Result, error) {
-		kern := workload.MustByName(k.kernel)
-		prefix := system.PrefixOf(k.cfg, kern)
 		e.mu.Lock()
-		hit := e.seen[prefix]
-		e.seen[prefix] = true
+		prefix := e.cells[k]
+		t := e.tmpls[prefix]
+		// The first cell to ask for a template captures it (or, in a
+		// race, waits on the cell that does); every later one forks it.
+		hit := t.claimed
+		t.claimed = true
 		e.mu.Unlock()
+		defer e.finish(prefix)
+		kern := workload.MustByName(k.kernel)
 		start := time.Now()
 		cp, err := e.pr.Get(prefix)
 		if err != nil {
@@ -124,24 +153,113 @@ func NewEngine(o Options) *Engine {
 	return e
 }
 
-// Options returns the engine's scaling options.
-func (e *Engine) Options() Options { return e.o }
-
-// Release returns the engine's captured checkpoint templates - the
-// dominant retained allocation of a full regeneration - to the component
-// storage pools, where the next engine's captures reuse them. Call once
-// every table the engine will produce has been assembled; tables and
-// results stay valid (they own their data), but further cell runs
-// through a released engine fall back to cold simulations.
-func (e *Engine) Release() {
+// queue registers every cell (cfgs[i], kernels[i]) not queued before,
+// counting it against its prefix's template, and returns the new keys
+// grouped by prefix in order of first appearance, so cells sharing a
+// template run next to each other and free it sooner. The counts are in
+// place before any returned key reaches the runner, so no template is
+// freed while a cell queued with it still needs it.
+func (e *Engine) queue(cfgs []system.Config, kernels []workload.Kernel) []runKey {
 	e.mu.Lock()
-	cps := e.cps
-	e.cps = nil
+	defer e.mu.Unlock()
+	var order []system.Prefix
+	groups := map[system.Prefix][]runKey{}
+	for i, cfg := range cfgs {
+		key := runKey{cfg: cfg, kernel: kernels[i].Name}
+		if _, ok := e.cells[key]; ok {
+			continue
+		}
+		prefix := system.PrefixOf(cfg, kernels[i])
+		e.cells[key] = prefix
+		t := e.tmpls[prefix]
+		if t == nil {
+			t = &template{}
+			e.tmpls[prefix] = t
+		}
+		t.pending++
+		e.running.Add(1)
+		if groups[prefix] == nil {
+			order = append(order, prefix)
+		}
+		groups[prefix] = append(groups[prefix], key)
+	}
+	var out []runKey
+	for _, prefix := range order {
+		out = append(out, groups[prefix]...)
+	}
+	return out
+}
+
+// finish retires one queued cell of prefix. The last one frees the
+// template, unless Tables holds it.
+func (e *Engine) finish(prefix system.Prefix) {
+	defer e.running.Done()
+	e.mu.Lock()
+	var cp *system.Checkpoint
+	t := e.tmpls[prefix]
+	if t.pending--; t.pending == 0 {
+		if e.hold {
+			e.parked = append(e.parked, prefix)
+		} else {
+			cp = e.drop(prefix)
+		}
+	}
+	e.mu.Unlock()
+	cp.Release()
+}
+
+// drop removes an idle template from the engine and the checkpoint
+// cache, so a later request for the prefix captures it afresh, and
+// returns the checkpoint for the caller to release once e.mu is
+// unlocked. Caller holds e.mu.
+func (e *Engine) drop(prefix system.Prefix) *system.Checkpoint {
+	delete(e.tmpls, prefix)
+	cp, ok := e.pr.Forget(prefix)
+	if ok && cp != nil {
+		e.live--
+	}
+	return cp
+}
+
+// track adjusts the Tables hold's counts of waiting getCfg calls and
+// running generators. The hold ends the first time every running
+// generator waits on a cell, and the parked templates no queued cell
+// needs any more are freed.
+func (e *Engine) track(waiting, gens int) {
+	e.mu.Lock()
+	e.waiting += waiting
+	e.gens += gens
+	var cps []*system.Checkpoint
+	if e.hold && e.waiting >= e.gens {
+		e.hold = false
+		for _, prefix := range e.parked {
+			// A parked prefix that a later queue revived, or that was
+			// parked twice, is skipped; its last cell frees it.
+			if t := e.tmpls[prefix]; t != nil && t.pending == 0 {
+				cps = append(cps, e.drop(prefix))
+			}
+		}
+		e.parked = nil
+	}
 	e.mu.Unlock()
 	for _, cp := range cps {
 		cp.Release()
 	}
 }
+
+// Options returns the engine's scaling options.
+func (e *Engine) Options() Options { return e.o }
+
+// Release waits for every cell the engine has queued to finish; call it
+// once no request through the engine is in progress. Each checkpoint
+// template is freed as soon as the last queued cell of its prefix has
+// forked it, so after a complete regeneration there is nothing left to
+// wait for. A generator that failed part-way may have left prefetched
+// cells running; Release returns once they have finished and freed
+// their templates, so the engine then holds none. Tables and results
+// stay valid (they own their data), and a later request through the
+// engine captures whatever prefix it needs afresh.
+func (e *Engine) Release() { e.running.Wait() }
 
 // Stats reports the engine's cache and pool accounting (simulation
 // cells; checkpoint captures are accounted under PrefixStats).
@@ -152,6 +270,15 @@ func (e *Engine) Stats() runner.Stats { return e.r.Stats() }
 // on an in-flight capture.
 func (e *Engine) PrefixStats() runner.Stats { return e.pr.Stats() }
 
+// PeakCheckpoints returns the largest number of checkpoint templates
+// the engine has held at once: the prefixes in flight together, which
+// bound its retained memory.
+func (e *Engine) PeakCheckpoints() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.peak
+}
+
 // Events returns the total kernel-phase simulation events dispatched by
 // the cells this engine ran. Dividing by host wall-clock gives the
 // dispatch throughput (events/sec) the benchmark harness reports, which
@@ -159,8 +286,8 @@ func (e *Engine) PrefixStats() runner.Stats { return e.pr.Stats() }
 func (e *Engine) Events() int64 { return e.events.Load() }
 
 // SlowestCells returns the n largest simulation cells by host
-// wall-clock, slowest first, each tagged with whether its prefix
-// checkpoint already existed when the cell started.
+// wall-clock, slowest first, each tagged with whether it forked a
+// checkpoint another cell captured.
 func (e *Engine) SlowestCells(n int) []CellTiming {
 	e.mu.Lock()
 	out := make([]CellTiming, len(e.timings))
@@ -190,6 +317,9 @@ func (e *Engine) get(kind system.Kind, k workload.Kernel) (*system.Result, error
 // getCfg is get for a custom configuration (scheduler sweeps, sampling
 // time series, shrunk footprints).
 func (e *Engine) getCfg(cfg system.Config, k workload.Kernel) (*system.Result, error) {
+	e.queue([]system.Config{cfg}, []workload.Kernel{k})
+	e.track(1, 0)
+	defer e.track(-1, 0)
 	return e.r.Get(runKey{cfg: cfg, kernel: k.Name})
 }
 
@@ -197,23 +327,33 @@ func (e *Engine) getCfg(cfg system.Config, k workload.Kernel) (*system.Result, e
 // the serial assembly loop that follows finds its cells finished or in
 // flight. Cells another experiment already ran are skipped.
 func (e *Engine) prefetch(kinds []system.Kind, kernels []workload.Kernel) {
-	keys := make([]runKey, 0, len(kinds)*len(kernels))
+	cfgs := make([]system.Config, 0, len(kinds)*len(kernels))
+	ks := make([]workload.Kernel, 0, cap(cfgs))
 	for _, kind := range kinds {
 		cfg := e.o.config(kind)
 		for _, k := range kernels {
-			keys = append(keys, runKey{cfg: cfg, kernel: k.Name})
+			cfgs = append(cfgs, cfg)
+			ks = append(ks, k)
 		}
 	}
-	e.r.Prefetch(keys...)
+	e.prefetchCells(cfgs, ks)
 }
 
 // prefetchCfg enqueues custom-configuration cells.
 func (e *Engine) prefetchCfg(cfg system.Config, kernels ...workload.Kernel) {
-	keys := make([]runKey, 0, len(kernels))
-	for _, k := range kernels {
-		keys = append(keys, runKey{cfg: cfg, kernel: k.Name})
+	cfgs := make([]system.Config, len(kernels))
+	for i := range cfgs {
+		cfgs[i] = cfg
 	}
-	e.r.Prefetch(keys...)
+	e.prefetchCells(cfgs, kernels)
+}
+
+// prefetchCells enqueues the cells (cfgs[i], kernels[i]). Queuing all
+// of a sweep's cells in one call counts every cell against its template
+// before any runs, so no template is freed and recaptured within the
+// sweep.
+func (e *Engine) prefetchCells(cfgs []system.Config, kernels []workload.Kernel) {
+	e.r.Prefetch(e.queue(cfgs, kernels)...)
 }
 
 // Table regenerates one experiment by id through the shared cache.
@@ -254,11 +394,16 @@ func (e *Engine) Tables(ids ...string) ([]*Table, error) {
 	}
 	errs := make([]error, len(ids))
 	panics := make([]any, len(ids))
+	e.mu.Lock()
+	e.hold = true
+	e.gens += len(ids)
+	e.mu.Unlock()
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
+			defer e.track(0, -1)
 			defer func() { panics[i] = recover() }()
 			tabs[i], errs[i] = e.Table(id)
 		}(i, id)

@@ -24,9 +24,19 @@ func TestParallelByteIdenticalToSerial(t *testing.T) {
 
 	parOpts := quickOpts()
 	parOpts.Parallelism = 8
-	parTabs, err := NewEngine(parOpts).Tables()
+	par := NewEngine(parOpts)
+	parTabs, err := par.Tables()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Figures 18 and 19 fork Figure 15's prefixes: the Tables hold keeps
+	// those templates until their generators have queued, so no prefix
+	// is captured twice, and nothing stays live afterwards.
+	if got, want := par.PrefixStats().Runs, distinctPrefixes(par); got != want {
+		t.Errorf("parallel engine made %d prefix captures for %d distinct prefixes", got, want)
+	}
+	if live, tracked := heldTemplates(par); live != 0 || tracked != 0 {
+		t.Errorf("after Tables: %d templates live, %d prefixes tracked; want 0 and 0", live, tracked)
 	}
 
 	if len(serialTabs) != len(parTabs) || len(serialTabs) != len(Registry()) {

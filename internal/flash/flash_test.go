@@ -171,6 +171,48 @@ func TestNORDrainAndTraffic(t *testing.T) {
 	}
 }
 
+// TestNORReadIntoAllocationFree pins the accelerator's NOR-intf load
+// path: ReadInto returns Read's bytes, completion time and traffic, and
+// allocates nothing.
+func TestNORReadIntoAllocationFree(t *testing.T) {
+	viaRead, viaInto := NewNOR(1<<16), NewNOR(1<<16)
+	payload := bytes.Repeat([]byte{7, 9}, 40)
+	for _, n := range []*NOR{viaRead, viaInto} {
+		if _, err := n.Write(0, 100, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := sim.Microsecond
+	want, wantDone, err := viaRead.Read(at, 96, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := bytes.Repeat([]byte{0xff}, 90) // stale bytes must be overwritten
+	done, err := viaInto.ReadInto(at, 96, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, want) || done != wantDone {
+		t.Fatalf("ReadInto = %v at %v, Read = %v at %v", dst, done, want, wantDone)
+	}
+	r1, w1, rb1, wb1 := viaRead.Traffic()
+	r2, w2, rb2, wb2 := viaInto.Traffic()
+	if r1 != r2 || w1 != w2 || rb1 != rb2 || wb1 != wb2 {
+		t.Fatalf("traffic: Read %d %d %d %d, ReadInto %d %d %d %d", r1, w1, rb1, wb1, r2, w2, rb2, wb2)
+	}
+	if _, err := viaInto.ReadInto(at, 1<<16, dst[:1]); err == nil {
+		t.Error("out-of-range NOR ReadInto accepted")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := viaInto.ReadInto(at, 96, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("NOR ReadInto allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
 // Property: array pages behave as independent 1 KiB cells under random
 // program/erase sequences.
 func TestArrayFunctionalProperty(t *testing.T) {

@@ -25,7 +25,10 @@ type NOR struct {
 	bytesWritten  int64
 }
 
-var _ mem.Device = (*NOR)(nil)
+var (
+	_ mem.Device     = (*NOR)(nil)
+	_ mem.ReaderInto = (*NOR)(nil)
+)
 
 // NewNOR returns a NOR-interface PRAM of the given capacity. The default
 // latencies give ~200 MB/s serialized reads (2x below flash page-level
@@ -49,14 +52,30 @@ func (n *NOR) Size() uint64 { return n.size }
 
 // Read implements mem.Device: ceil(n/2) serialized 16-bit reads.
 func (n *NOR) Read(at sim.Time, addr uint64, sz int) ([]byte, sim.Time, error) {
-	if err := mem.CheckRange("nor", n.size, addr, sz); err != nil {
+	if sz <= 0 {
+		return nil, 0, mem.CheckRange("nor", n.size, addr, sz)
+	}
+	out := make([]byte, sz)
+	done, err := n.ReadInto(at, addr, out)
+	if err != nil {
 		return nil, 0, err
+	}
+	return out, done, nil
+}
+
+// ReadInto implements mem.ReaderInto: Read's timing and traffic into a
+// caller-owned buffer, without allocating.
+func (n *NOR) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error) {
+	sz := len(dst)
+	if err := mem.CheckRange("nor", n.size, addr, sz); err != nil {
+		return 0, err
 	}
 	words := (sz + n.chunk - 1) / n.chunk
 	done := n.bus.AcquireUntil(at, sim.Duration(words)*n.readChunk)
 	n.reads++
 	n.bytesRead += int64(sz)
-	return n.store.Read(addr, sz), done, nil
+	n.store.ReadInto(addr, dst)
+	return done, nil
 }
 
 // Write implements mem.Device: ceil(n/2) serialized 16-bit programs.

@@ -132,6 +132,26 @@ func (r *Runner[K, V]) Prefetch(keys ...K) {
 	}
 }
 
+// Forget drops a completed key from the cache and returns the value it
+// held, so the next request for key computes it again. ok reports
+// whether a completed cell was dropped: an absent key, or one still in
+// flight, is left alone.
+func (r *Runner[K, V]) Forget(key K) (val V, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, found := r.cells[key]
+	if !found {
+		return val, false
+	}
+	select {
+	case <-c.done:
+	default:
+		return val, false
+	}
+	delete(r.cells, key)
+	return c.val, true
+}
+
 // Stats returns a snapshot of the cache and pool accounting.
 func (r *Runner[K, V]) Stats() Stats {
 	return Stats{

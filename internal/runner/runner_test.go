@@ -180,6 +180,54 @@ func TestPrefetchDoesNotDoubleCount(t *testing.T) {
 	}
 }
 
+func TestForgetRecomputes(t *testing.T) {
+	var calls atomic.Int64
+	gate := make(chan struct{})
+	r := New(2, func(k int) (int, error) {
+		if k == 2 {
+			<-gate
+		}
+		return int(calls.Add(1)), nil
+	})
+	if _, ok := r.Forget(1); ok {
+		t.Fatal("Forget of an absent key reported a dropped cell")
+	}
+	first, err := r.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := r.Forget(1); !ok || v != first {
+		t.Fatalf("Forget(1) = %d, %v, want %d, true", v, ok, first)
+	}
+	second, err := r.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first {
+		t.Fatalf("Get after Forget returned the cached value %d, want a recomputation", first)
+	}
+	if _, err := r.Get(1); err != nil { // a hit on the recomputed cell
+		t.Fatal(err)
+	}
+	// An in-flight key is left in place: its computation still serves
+	// later requests instead of being started twice.
+	r.Prefetch(2)
+	if _, ok := r.Forget(2); ok {
+		t.Fatal("Forget dropped an in-flight cell")
+	}
+	close(gate)
+	if _, err := r.Get(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("fn called %d times, want 3 (key 1 twice, key 2 once)", got)
+	}
+	st := r.Stats()
+	if st.Runs != 3 || st.Hits+st.Coalesced != 2 || st.Hits < 1 {
+		t.Fatalf("stats = %+v, want Runs=3, one hit on key 1 and one hit or coalesce on key 2", st)
+	}
+}
+
 func TestDefaultWorkersAndString(t *testing.T) {
 	r := New[int, int](0, func(k int) (int, error) { return k, nil })
 	if r.Workers() < 1 {
