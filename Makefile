@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare arena-smoke blame-smoke profile trace vet fmt-check ci ci-full verify
+.PHONY: build test race race-experiments race-sim perfbench-test bench bench-json bench-compare hist-json hist-compare arena-smoke blame-smoke profile trace vet fmt-check ci ci-full verify
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,12 @@ race-experiments:
 # ever trimmed.
 race-sim:
 	$(GO) test -race -count 1 ./internal/sim/... ./internal/accel/... ./internal/cache/... ./internal/system/...
+
+# The repository benchmark (perfbench/) is a separate module that
+# compiles against the root module's internals, so the root
+# `go test ./...` never builds it; vet and test it on its own.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark sweep; BenchmarkAllExperiments is the top-level number
 # to track (serial vs parallel over the shared result cache).
@@ -77,8 +83,8 @@ hist-compare:
 		-hist prof/hist.current.json > /dev/null
 	$(GO) run ./tools/benchjson -hist prof/hist.current.json -hist-base HIST_baseline.json
 
-# Scheduler tournament smoke: every registered policy on one kernel.
-# Exercises the policy registry, the per-cell private observers and the
+# Scheduler tournament smoke: every built-in policy on one kernel.
+# Exercises the policy table, the per-cell private observers and the
 # ranked-table assembly end to end; output is discarded (the arena tests
 # pin the table's structure and determinism).
 arena-smoke:
@@ -131,8 +137,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$files"; exit 1; fi
 
 # Pre-merge gate: everything a PR must pass before landing - build,
-# tests, race detector, go vet and gofmt. `make verify` is its alias.
-ci: test race race-experiments race-sim vet fmt-check
+# tests, race detector, go vet, gofmt and the perfbench module's own
+# vet and tests. `make verify` is its alias.
+ci: test race race-experiments race-sim vet fmt-check perfbench-test
 
 # ci plus the perf and latency regression gates against the committed
 # baselines and the scheduler tournament smoke run.

@@ -323,7 +323,7 @@ func BenchmarkAblation_Prefetch(b *testing.B) {
 	b.ReportMetric((without/with-1)*100, "prefetch-benefit-%")
 }
 
-// withPolicy resolves a registered scheduling policy into a PRAM option.
+// withPolicy resolves a built-in scheduling policy into a PRAM option.
 func withPolicy(b *testing.B, name string) dramless.PRAMOption {
 	p, err := dramless.PolicyByName(name)
 	if err != nil {
@@ -478,11 +478,15 @@ func BenchmarkAblation_WritePausing(b *testing.B) {
 		}
 		return readTotal / float64(reads), float64(pram.ModuleStats().ProgramTime)
 	}
+	// Bare-metal plus device write pausing: prefetch runs only under
+	// interleaving, so this is the bare-metal controller with reads
+	// preempting in-flight programs.
+	pausing := dramless.SchedulerPolicy{Name: "bare-metal-pausing", PauseReads: true}
 	var base, paused, final float64
 	var basePT, pausedPT float64
 	for i := 0; i < b.N; i++ {
 		base, basePT = mixed(withPolicy(b, "bare-metal"))
-		paused, pausedPT = mixed(withPolicy(b, "bare-metal"), dramless.WithWritePausing())
+		paused, pausedPT = mixed(dramless.WithPolicy(pausing))
 		final, _ = mixed(withPolicy(b, "final"))
 	}
 	// Pausing preempts: reads get dramatically faster, but every pause

@@ -22,7 +22,7 @@ func cmdBlame(args []string) {
 	sysName := fs.String("system", "DRAM-less", "system organization (see list)")
 	kernelName := fs.String("kernel", "gemver", "workload (see list)")
 	scale := fs.Int64("scale", 256<<10, "footprint scale in bytes")
-	schedName := fs.String("scheduler", "", "override PRAM controller policy (any registry name)")
+	schedName := fs.String("scheduler", "", "override PRAM controller policy (see 'dramless list')")
 	top := fs.Int("top", 10, "rows in the critical-path and diff tables (0 = all)")
 	asJSON := fs.Bool("json", false, "emit the blame account as JSON instead of the text report")
 	out := fs.String("o", "", "also export the blame account JSON to this file")
@@ -83,7 +83,7 @@ func cmdBlame(args []string) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		cfg.Policy = p.Name()
+		cfg.Policy = p
 	}
 	res, err := dramless.RunSystem(cfg, w)
 	if err != nil {

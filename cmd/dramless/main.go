@@ -101,8 +101,9 @@ commands:
   experiments [-full] [-scale bytes] [-kernels a,b,c] [-parallel N]
         [-scheduler name] [-slowest N] [id ...]
         regenerate the paper's tables/figures (default: all of them);
-        -scheduler overrides the DRAM-less PRAM scheduling policy for
-        every cell (any registered policy name);
+        -scheduler overrides the DRAM-less PRAM scheduling policy
+        (see 'dramless list') for every cell but fig13's, which runs
+        the paper's four schedulers;
         -parallel bounds the simulation worker pool (0 = GOMAXPROCS,
         1 = serial) - each simulation runs on one goroutine, so output
         is byte-identical at any setting; -slowest lists the N slowest
@@ -110,11 +111,12 @@ commands:
         cached populate/load prefix checkpoint or simulated it cold
   arena [-full] [-scale bytes] [-kernels a,b,c] [-policies a,b]
         [-systems x,y] [-parallel N] [-json]
-        scheduler tournament: run every registered scheduling policy
-        (or the -policies subset) x every kernel on the -systems
-        organizations (default DRAM-less) and rank them against the
-        paper's final scheduler, with mean/p99/d-p99 read latency
-        from the histogram layer; byte-identical at any -parallel
+        scheduler tournament: run every scheduling policy (see
+        'dramless list') or the -policies subset x every kernel on
+        the -systems organizations (default DRAM-less) and rank them
+        against the paper's final scheduler, with mean/p99/d-p99 read
+        latency from the histogram layer; byte-identical at any
+        -parallel
   run   -system <name> -kernel <name> [-scale bytes] [-scheduler name]
         [-trace out.json] [-hist out.json] [-series out.json] [-counters]
         one end-to-end system simulation with full breakdowns;
@@ -122,9 +124,8 @@ commands:
         chrome://tracing), -hist exports per-instrument latency
         histograms and -series windowed time series (.csv extension
         selects CSV, anything else JSON), -counters prints the hardware
-        counters, -scheduler selects any registered PRAM scheduling
-        policy by name (bare-metal, interleaving, selective-erasing,
-        final, palp, pause-aware, wear-aware, ...)
+        counters, -scheduler selects the PRAM scheduling policy by
+        name (see 'dramless list')
   report [-json] [-cdf instrument] <hist.json> [other-hist.json]
         render percentile tables (p50/p90/p99/p999/max) from a -hist
         export; with two files, compare them side by side; -cdf prints
@@ -143,7 +144,7 @@ commands:
   capture pprof profiles of the simulation (see DESIGN.md §8).
   trace [-addr N] [-n bytes] [-write] [-scheduler name]
         dump the LPDDR2-NVM command stream one access produces
-  list  show experiment ids, system names and workloads`)
+  list  show experiment ids, system names, workloads and schedulers`)
 }
 
 func cmdList() {
@@ -159,6 +160,23 @@ func cmdList() {
 	for _, w := range dramless.Workloads() {
 		fmt.Printf("  %-8s %s\n", w.Name, w.Class)
 	}
+	fmt.Println("schedulers:")
+	for _, name := range dramless.SchedulerPolicyNames() {
+		fmt.Printf("  %s\n", name)
+	}
+}
+
+// kernelList splits a -kernels flag value, exiting with status 2 on an
+// unknown kernel name.
+func kernelList(flagValue string) []string {
+	names := strings.Split(flagValue, ",")
+	for _, n := range names {
+		if _, err := dramless.WorkloadByName(n); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
+	return names
 }
 
 func cmdExperiments(args []string) {
@@ -168,7 +186,7 @@ func cmdExperiments(args []string) {
 	scale := fs.Int64("scale", 0, "override footprint scale in bytes")
 	kernels := fs.String("kernels", "", "comma-separated kernel subset")
 	parallel := fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	schedName := fs.String("scheduler", "", "override the DRAM-less PRAM scheduling policy for every cell (registry name)")
+	schedName := fs.String("scheduler", "", "override the DRAM-less PRAM scheduling policy for every cell but fig13's (see 'dramless list')")
 	slowest := fs.Int("slowest", 0, "report the N slowest simulation cells with prefix cache hit/miss")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
@@ -183,7 +201,7 @@ func cmdExperiments(args []string) {
 		o.Scale = *scale
 	}
 	if *kernels != "" {
-		o.Kernels = strings.Split(*kernels, ",")
+		o.Kernels = kernelList(*kernels)
 	}
 	o.Parallelism = *parallel
 	if *schedName != "" {
@@ -192,7 +210,7 @@ func cmdExperiments(args []string) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		o.Policy = p.Name()
+		o.Policy = p
 	}
 
 	ids := fs.Args()
@@ -252,7 +270,7 @@ func cmdTrace(args []string) {
 	addr := fs.Uint64("addr", 0, "target byte address")
 	n := fs.Int("n", 128, "access size in bytes")
 	write := fs.Bool("write", false, "trace a write instead of a read")
-	schedName := fs.String("scheduler", "final", "scheduling policy (any registry name, e.g. final, palp, pause-aware)")
+	schedName := fs.String("scheduler", "final", "scheduling policy (see 'dramless list')")
 	fs.Parse(args)
 
 	sched, err := dramless.PolicyByName(*schedName)
@@ -282,7 +300,7 @@ func cmdTrace(args []string) {
 		os.Exit(1)
 	}
 	fmt.Printf("%s of %d B at %#x under %s: accepted after %v (drain %v)\n\n",
-		op, *n, *addr, sched.Name(), done-ready, pram.Drain()-ready)
+		op, *n, *addr, sched.Name, done-ready, pram.Drain()-ready)
 	for ch := 0; ch < 2; ch++ {
 		for pkg := 0; pkg < 16; pkg++ {
 			cmds := pram.Trace(ch, pkg)
@@ -297,7 +315,7 @@ func cmdTrace(args []string) {
 	}
 }
 
-// cmdArena runs the scheduler tournament: every registered policy (or
+// cmdArena runs the scheduler tournament: every built-in policy (or
 // the -policies subset) x every kernel on the -systems organizations,
 // ranked against the paper's final scheduler.
 func cmdArena(args []string) {
@@ -307,7 +325,7 @@ func cmdArena(args []string) {
 	scale := fs.Int64("scale", 0, "override footprint scale in bytes")
 	kernels := fs.String("kernels", "", "comma-separated kernel subset")
 	parallel := fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	policies := fs.String("policies", "", "comma-separated policy subset (default: every registered policy)")
+	policies := fs.String("policies", "", "comma-separated policy subset (default: all of them)")
 	systems := fs.String("systems", "", "comma-separated organizations (default: DRAM-less)")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
@@ -322,7 +340,7 @@ func cmdArena(args []string) {
 		o.Scale = *scale
 	}
 	if *kernels != "" {
-		o.Kernels = strings.Split(*kernels, ",")
+		o.Kernels = kernelList(*kernels)
 	}
 	o.Parallelism = *parallel
 
@@ -334,7 +352,7 @@ func cmdArena(args []string) {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
-			pols = append(pols, p.Name())
+			pols = append(pols, p.Name)
 		}
 	}
 	var kinds []dramless.SystemKind
@@ -382,7 +400,7 @@ func cmdRun(args []string) {
 	sysName := fs.String("system", "DRAM-less", "system organization (see list)")
 	kernelName := fs.String("kernel", "gemver", "workload (see list)")
 	scale := fs.Int64("scale", 256<<10, "footprint scale in bytes")
-	schedName := fs.String("scheduler", "", "override PRAM controller policy (any registry name, e.g. final, palp, pause-aware)")
+	schedName := fs.String("scheduler", "", "override PRAM controller policy (see 'dramless list')")
 	traceOut := fs.String("trace", "", "record a simulated-time timeline to this file (chrome://tracing JSON)")
 	histOut := fs.String("hist", "", "export latency histograms to this file (.csv for CSV, else JSON)")
 	seriesOut := fs.String("series", "", "export simulated-time series to this file (.csv for CSV, else JSON)")
@@ -423,7 +441,7 @@ func cmdRun(args []string) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		cfg.Policy = p.Name()
+		cfg.Policy = p
 	}
 	res, err := dramless.RunSystem(cfg, w)
 	if err != nil {

@@ -193,29 +193,24 @@ func (w observerOption) applySystem(c *system.Config) {
 // merge into the observer and every subsystem records trace spans).
 func WithObserver(o *Observer) CommonOption { return observerOption{o: o} }
 
-// SchedulerPolicy is a pluggable controller scheduling policy: a named
-// capability vector the channel machinery resolves at construction
-// (memctrl.Policy). The registry holds the paper's four schedulers
-// ("bare-metal", "interleaving", "selective-erasing", "final") and
-// later ones ("palp", "pause-aware", "wear-aware").
+// SchedulerPolicy is a controller scheduling policy: a name plus the
+// capability vector the channel machinery reads (memctrl.Policy). The
+// built-ins are the paper's four schedulers ("bare-metal",
+// "interleaving", "selective-erasing", "final") and later ones ("palp",
+// "pause-aware", "wear-aware").
 type SchedulerPolicy = memctrl.Policy
 
-// SchedulerPolicies returns every registered scheduling policy in
-// registration order.
-func SchedulerPolicies() []SchedulerPolicy { return memctrl.Policies() }
-
-// SchedulerPolicyNames returns the registered policy names in
-// registration order.
+// SchedulerPolicyNames returns the built-in policy names in table
+// order.
 func SchedulerPolicyNames() []string { return memctrl.PolicyNames() }
 
-// PolicyByName resolves a scheduling policy by registry name,
-// case-insensitively; legacy enum display names ("Bare-metal", ...)
-// resolve to their canonical policies. Unknown names error with the
-// registered list.
+// PolicyByName returns the built-in scheduling policy with the given
+// name, case-insensitively, so Figure 13's labels ("Bare-metal", ...)
+// resolve too. Unknown names error with the known list.
 func PolicyByName(name string) (SchedulerPolicy, error) { return memctrl.PolicyByName(name) }
 
-// WithPolicy selects the controller scheduling policy from the registry
-// (default "final").
+// WithPolicy selects the controller scheduling policy (default
+// "final").
 func WithPolicy(p SchedulerPolicy) PRAMOption {
 	return pramOptionFunc(func(c *memctrl.Config) { c.Policy = p })
 }
@@ -257,13 +252,6 @@ func WithWearLeveling(gapWritePeriod, regionRows int) PRAMOption {
 
 // WearStats is the controller's endurance picture under wear leveling.
 type WearStats = memctrl.WearStats
-
-// WithWritePausing enables device-level write pause/resume: reads preempt
-// in-flight programs at the cost of stretching them - the Related Work
-// alternative the paper compares its interleaving against.
-func WithWritePausing() PRAMOption {
-	return pramOptionFunc(func(c *memctrl.Config) { c.WritePausing = true })
-}
 
 // NewPRAM builds a booted DRAM-less PRAM subsystem. The returned Memory
 // is ready for traffic at the returned time.

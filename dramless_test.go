@@ -50,7 +50,7 @@ func TestPRAMOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pram.Config()
-	if cfg.Policy == nil || cfg.Policy.Name() != "bare-metal" || cfg.PhaseSkipping || cfg.Prefetch {
+	if cfg.Policy != bare || cfg.PhaseSkipping || cfg.Prefetch {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 }

@@ -11,20 +11,15 @@ import (
 	"dramless/internal/workload"
 )
 
-// BaselinePolicy is the arena's ranking reference: the paper's Final
-// scheduler (interleaving + selective erasing, the DRAM-less default).
-const BaselinePolicy = "final"
-
 // arenaCell is one tournament simulation: a policy on an organization
 // running one kernel, with a private Observer so the cell's latency
 // histograms can be read back independently of every other cell.
 type arenaCell struct {
-	policy string
-	kind   system.Kind
-	kern   workload.Kernel
-	cfg    system.Config
-	ob     *obs.Observer
-	res    *system.Result
+	kind system.Kind
+	kern workload.Kernel
+	cfg  system.Config
+	ob   *obs.Observer
+	res  *system.Result
 }
 
 // readHist merges the cell's four demand-read latency instruments
@@ -42,15 +37,17 @@ func (c *arenaCell) readHist(dst *obs.Histogram) {
 // kernel on the requested organizations, rendered as one ranked table.
 //
 // Per-kernel columns are data-processing throughput normalized to the
-// BaselinePolicy ("final") cell of the same organization and kernel
-// (>1 is faster than the paper's scheduler). Rows are ranked by the
-// geometric mean of those ratios; the mean / p99 / Δp99 columns come
-// from the merged demand-read latency histograms of the row's cells.
+// cell of the same organization and kernel under the paper's Final
+// scheduler, the baseline (>1 is faster than the paper's scheduler).
+// Rows are ranked by the geometric mean of those ratios; the mean / p99
+// / Δp99 columns come from the merged demand-read latency histograms of
+// the row's cells.
 //
-// policies nil selects every registered policy (memctrl.PolicyNames
-// order); kinds nil selects the PRAM-backed DRAM-less organization.
-// The baseline policy always runs (it is the normalization reference)
-// and is appended to the row set if absent from the request. Policy
+// policies names the policies to compare (see memctrl.PolicyByName);
+// nil selects every built-in policy (memctrl.PolicyNames order). kinds
+// nil selects the PRAM-backed DRAM-less organization. The baseline
+// policy always runs (it is the normalization reference) and is
+// appended to the row set if absent from the request. Policy
 // capabilities only reach the controller on PRAM-backed kinds, so
 // non-PRAM organizations show no spread across rows.
 //
@@ -58,23 +55,24 @@ func (c *arenaCell) readHist(dst *obs.Histogram) {
 // worker pool; assembly order is fixed, so the table is byte-identical
 // at any parallelism.
 func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
+	if err := e.o.checkKernels(); err != nil {
+		return nil, err
+	}
 	if len(policies) == 0 {
 		policies = memctrl.PolicyNames()
 	}
-	canon := make([]string, 0, len(policies)+1)
+	canon := make([]memctrl.Policy, 0, len(policies)+1)
 	hasBase := false
 	for _, name := range policies {
 		p, err := memctrl.PolicyByName(name)
 		if err != nil {
 			return nil, err
 		}
-		canon = append(canon, p.Name())
-		if p.Name() == BaselinePolicy {
-			hasBase = true
-		}
+		canon = append(canon, p)
+		hasBase = hasBase || p == memctrl.Final
 	}
 	if !hasBase {
-		canon = append(canon, BaselinePolicy)
+		canon = append(canon, memctrl.Final)
 	}
 	if len(kinds) == 0 {
 		kinds = []system.Kind{system.DRAMLess}
@@ -97,7 +95,7 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 				cfg.Policy = pol
 				ob := obs.New()
 				cfg.Obs = ob
-				cells = append(cells, &arenaCell{policy: pol, kind: kind, kern: k, cfg: cfg, ob: ob})
+				cells = append(cells, &arenaCell{kind: kind, kern: k, cfg: cfg, ob: ob})
 				cfgs = append(cfgs, cfg)
 				ks = append(ks, k)
 			}
@@ -111,7 +109,7 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 			return nil, err
 		}
 		c.res = res
-		byCell[[3]string{c.kind.String(), c.policy, c.kern.Name}] = c
+		byCell[[3]string{c.kind.String(), c.cfg.Policy.Name, c.kern.Name}] = c
 	}
 
 	// Scratch observer: its HistogramSet mints the merged per-row
@@ -135,8 +133,6 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 
 	type rowData struct {
 		label   string
-		kind    system.Kind
-		policy  string
 		geomean float64
 		row     *Row
 	}
@@ -147,11 +143,13 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 		gain           float64 // throughput ratio vs final
 	}
 	var best *bestCell
-	legacy := map[string]bool{"bare-metal": true, "interleaving": true, "selective-erasing": true, BaselinePolicy: true}
+	baseline := memctrl.Final.Name
+	paper := map[string]bool{"bare-metal": true, "interleaving": true, "selective-erasing": true, baseline: true}
 
 	for _, kind := range kinds {
-		baseP99 := mergedOf(kind, BaselinePolicy).Percentile(99)
-		for _, pol := range canon {
+		baseP99 := mergedOf(kind, baseline).Percentile(99)
+		for _, p := range canon {
+			pol := p.Name
 			label := pol
 			if len(kinds) > 1 {
 				label = fmt.Sprintf("%s @ %s", pol, kind)
@@ -160,12 +158,12 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 			logSum, n := 0.0, 0
 			for _, k := range kernels {
 				cell := byCell[[3]string{kind.String(), pol, k.Name}]
-				base := byCell[[3]string{kind.String(), BaselinePolicy, k.Name}]
+				base := byCell[[3]string{kind.String(), baseline, k.Name}]
 				norm := cell.res.BandwidthMBps() / base.res.BandwidthMBps()
 				r.set(k.Name, norm)
 				logSum += math.Log(norm)
 				n++
-				if !legacy[pol] && (best == nil || norm > best.gain) {
+				if !paper[pol] && (best == nil || norm > best.gain) {
 					best = &bestCell{policy: pol, kernel: k.Name, kind: kind, gain: norm}
 				}
 			}
@@ -175,7 +173,7 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 			r.set("mean-rd-ns", dist.Mean()/1e3)
 			r.set("p99-rd-ns", float64(dist.Percentile(99))/1e3)
 			r.set("d-p99-ns", float64(dist.Percentile(99)-baseP99)/1e3)
-			rows = append(rows, &rowData{label: label, kind: kind, policy: pol, geomean: gm, row: r})
+			rows = append(rows, &rowData{label: label, geomean: gm, row: r})
 		}
 	}
 
@@ -196,14 +194,14 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 		tab.Rows = append(tab.Rows, rd.row)
 	}
 	tab.Notes = append(tab.Notes, fmt.Sprintf(
-		"throughput per kernel normalized to the %q policy on the same organization; ranked by geomean", BaselinePolicy))
+		"throughput per kernel normalized to the %q policy on the same organization; ranked by geomean", baseline))
 	tab.Notes = append(tab.Notes,
 		"mean/p99 from the merged demand-read latency histograms; d-p99 vs the same-organization baseline")
 	if best != nil {
 		verdict := "no new policy beat the baseline on throughput"
 		if best.gain > 1 {
 			verdict = fmt.Sprintf("best new-policy cell: %s on %s @ %s, %+.2f%% throughput vs %q",
-				best.policy, best.kernel, best.kind, (best.gain-1)*100, BaselinePolicy)
+				best.policy, best.kernel, best.kind, (best.gain-1)*100, baseline)
 		}
 		tab.Notes = append(tab.Notes, verdict)
 	}

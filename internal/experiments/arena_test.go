@@ -41,12 +41,12 @@ func TestArenaByteIdenticalAcrossParallelism(t *testing.T) {
 }
 
 // TestArenaStructure pins the tournament's shape: one row per
-// registered policy, the baseline normalized to exactly 1.0 with zero
+// built-in policy, the baseline normalized to exactly 1.0 with zero
 // Δp99, descending geomean order, and a populated latency column set.
 func TestArenaStructure(t *testing.T) {
 	tab := arenaTable(t, quickOpts(), nil, nil)
 	if len(tab.Rows) != len(memctrl.PolicyNames()) {
-		t.Fatalf("%d rows, want one per registered policy (%d)", len(tab.Rows), len(memctrl.PolicyNames()))
+		t.Fatalf("%d rows, want one per built-in policy (%d)", len(tab.Rows), len(memctrl.PolicyNames()))
 	}
 	prev := math.Inf(1)
 	sawBase := false
@@ -59,7 +59,7 @@ func TestArenaStructure(t *testing.T) {
 		if r.Values["mean-rd-ns"] <= 0 || r.Values["p99-rd-ns"] <= 0 {
 			t.Errorf("row %q has empty latency columns: %+v", r.Label, r.Values)
 		}
-		if r.Label == BaselinePolicy {
+		if r.Label == memctrl.Final.Name {
 			sawBase = true
 			for _, k := range quickOpts().Kernels {
 				if r.Values[k] != 1 {
@@ -72,7 +72,7 @@ func TestArenaStructure(t *testing.T) {
 		}
 	}
 	if !sawBase {
-		t.Fatalf("no %q baseline row in the table", BaselinePolicy)
+		t.Fatalf("no %q baseline row in the table", memctrl.Final.Name)
 	}
 	if len(tab.Notes) < 3 {
 		t.Errorf("want normalization + histogram + verdict notes, got %v", tab.Notes)
@@ -91,7 +91,7 @@ func TestArenaSubsetAndErrors(t *testing.T) {
 	for _, r := range tab.Rows {
 		labels[r.Label] = true
 	}
-	if !labels["palp"] || !labels[BaselinePolicy] {
+	if !labels["palp"] || !labels[memctrl.Final.Name] {
 		t.Errorf("subset rows = %v", labels)
 	}
 

@@ -358,6 +358,9 @@ func (e *Engine) prefetchCells(cfgs []system.Config, kernels []workload.Kernel) 
 
 // Table regenerates one experiment by id through the shared cache.
 func (e *Engine) Table(id string) (*Table, error) {
+	if err := e.o.checkKernels(); err != nil {
+		return nil, err
+	}
 	for _, x := range Registry() {
 		if x.ID == id {
 			return x.Gen(e)
@@ -376,6 +379,9 @@ func (e *Engine) Table(id string) (*Table, error) {
 // returned; a panicking generator re-panics on the calling goroutine,
 // matching serial behaviour.
 func (e *Engine) Tables(ids ...string) ([]*Table, error) {
+	if err := e.o.checkKernels(); err != nil {
+		return nil, err
+	}
 	if len(ids) == 0 {
 		for _, x := range Registry() {
 			ids = append(ids, x.ID)

@@ -90,21 +90,61 @@ func TestSharedCacheAcrossExperiments(t *testing.T) {
 	}
 }
 
-// TestEngineSharedWithFig01 checks cross-family sharing: fig01 needs
-// Hetero cells that fig15 already ran, plus only the Ideal ones.
+// TestEngineSharedWithFig01 checks cross-family sharing: after fig15,
+// a figure runs only the cells fig15 did not. fig01 needs Hetero cells
+// fig15 already ran, plus the Ideal ones; fig13's Final column is the
+// default DRAM-less cell, so only its other three schedulers run.
 func TestEngineSharedWithFig01(t *testing.T) {
+	for _, c := range []struct {
+		id     string
+		perKer int64 // new simulations per kernel after fig15
+		why    string
+	}{
+		{"fig01", 1, "Ideal only"},
+		{"fig13", 3, "Final reuses the DRAM-less cells"},
+	} {
+		c := c
+		t.Run(c.id, func(t *testing.T) {
+			o := quickOpts()
+			e := NewEngine(o)
+			if _, err := e.Table("fig15"); err != nil {
+				t.Fatal(err)
+			}
+			before := e.Stats().Runs
+			if want := int64(10 * len(o.kernels())); before != want {
+				t.Errorf("fig15 ran %d simulations, want %d", before, want)
+			}
+			if _, err := e.Table(c.id); err != nil {
+				t.Fatal(err)
+			}
+			added := e.Stats().Runs - before
+			if want := c.perKer * int64(len(o.kernels())); added != want {
+				t.Errorf("%s after fig15 ran %d new simulations, want %d (%s)", c.id, added, want, c.why)
+			}
+		})
+	}
+}
+
+// TestUnknownKernelIsAnError checks that a misspelt kernel name fails
+// every entry point with workload.ByName's error instead of panicking.
+func TestUnknownKernelIsAnError(t *testing.T) {
 	o := quickOpts()
+	o.Kernels = []string{"gemver", "nope"}
 	e := NewEngine(o)
-	if _, err := e.Table("fig15"); err != nil {
-		t.Fatal(err)
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "gemver") {
+			t.Errorf("%s: err = %v, want an unknown-kernel error naming \"nope\" and the known kernels", what, err)
+		}
 	}
-	before := e.Stats().Runs
-	if _, err := e.Table("fig01"); err != nil {
-		t.Fatal(err)
-	}
-	added := e.Stats().Runs - before
-	if want := int64(len(o.kernels())); added != want {
-		t.Errorf("fig01 after fig15 ran %d new simulations, want %d (Ideal only)", added, want)
+	_, err := e.Tables("fig15")
+	check("Tables", err)
+	_, err = e.Table("fig15")
+	check("Table", err)
+	_, err = e.Arena(nil, nil)
+	check("Arena", err)
+	if runs := e.Stats().Runs; runs != 0 {
+		t.Errorf("rejected requests ran %d simulations", runs)
 	}
 }
 

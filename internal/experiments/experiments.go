@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"dramless/internal/memctrl"
 	"dramless/internal/stats"
 	"dramless/internal/system"
 	"dramless/internal/workload"
@@ -31,12 +32,12 @@ type Options struct {
 	// 0 selects GOMAXPROCS; 1 forces serial execution. Rendered tables
 	// are byte-identical at any setting.
 	Parallelism int
-	// Policy overrides the DRAM-less PRAM scheduling policy by registry
-	// name ("palp", "pause-aware", ...; see memctrl.PolicyNames).
-	// Empty keeps the config default (the legacy Final scheduler). The
-	// policy name is part of every cell's cache key, so engines with
-	// different policies never share results.
-	Policy string
+	// Policy overrides the DRAM-less PRAM scheduling policy of the
+	// default cells (see memctrl.PolicyByName). The zero value keeps the
+	// config default, the paper's Final scheduler. The policy is part of
+	// every cell's cache key, so engines with different policies never
+	// share results.
+	Policy memctrl.Policy
 }
 
 // Fast returns options sized for quick benchmark runs.
@@ -44,6 +45,17 @@ func Fast() Options { return Options{Scale: 128 << 10} }
 
 // Full returns options sized closer to the paper's volumes.
 func Full() Options { return Options{Scale: 2 << 20} }
+
+// checkKernels reports the first unknown name in Kernels, with the
+// known kernels listed.
+func (o Options) checkKernels() error {
+	for _, n := range o.Kernels {
+		if _, err := workload.ByName(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 func (o Options) kernels() []workload.Kernel {
 	if len(o.Kernels) == 0 {
@@ -63,7 +75,9 @@ func (o Options) config(kind system.Kind) system.Config {
 	for cfg.SSDCapacity < uint64(6*o.Scale) {
 		cfg.SSDCapacity *= 2
 	}
-	cfg.Policy = o.Policy
+	if o.Policy != (memctrl.Policy{}) {
+		cfg.Policy = o.Policy
+	}
 	return cfg
 }
 

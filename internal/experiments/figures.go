@@ -92,8 +92,8 @@ func (e *Engine) Fig07() (*Table, error) {
 // chip, bare-metal versus interleaved.
 func Fig12(Options) (*Table, error) {
 	t := &Table{ID: "fig12", Title: "two-request overlap on one chip (ns)"}
-	elapsed := func(s memctrl.Scheduler) (sim.Duration, error) {
-		cfg := memctrl.DefaultConfig(s)
+	elapsed := func(p memctrl.Policy) (sim.Duration, error) {
+		cfg := memctrl.DefaultConfig(p)
 		cfg.Geometry.RowsPerModule = 1 << 16
 		cfg.Prefetch = false
 		sub, err := memctrl.New(cfg)
@@ -105,11 +105,11 @@ func Fig12(Options) (*Table, error) {
 		_, done, err := sub.ReadScatter(0, []uint64{0, 1024}, 32)
 		return done, err
 	}
-	serial, err := elapsed(memctrl.Noop)
+	serial, err := elapsed(memctrl.BareMetal)
 	if err != nil {
 		return nil, err
 	}
-	over, err := elapsed(memctrl.Interleave)
+	over, err := elapsed(memctrl.Interleaving)
 	if err != nil {
 		return nil, err
 	}
@@ -131,30 +131,40 @@ func Fig13(o Options) (*Table, error) { return NewEngine(o).Fig13() }
 func (e *Engine) Fig13() (*Table, error) {
 	o := e.o
 	t := &Table{ID: "fig13", Title: "scheduler bandwidth, normalized to Bare-metal"}
-	scheds := []memctrl.Scheduler{memctrl.Noop, memctrl.Interleave, memctrl.SelErase, memctrl.Final}
-	cfgs := make(map[memctrl.Scheduler]system.Config, len(scheds))
-	for _, s := range scheds {
-		cfg := o.config(system.DRAMLess)
-		cfg.Scheduler = s
-		cfgs[s] = cfg
-		e.prefetchCfg(cfg, o.kernels()...)
+	// Column labels are the paper's scheduler names. Without an
+	// Options.Policy override the Final column's config is the default
+	// DRAM-less cell's, so it shares Fig 15's cells.
+	scheds := []struct {
+		label string
+		pol   memctrl.Policy
+	}{
+		{"Bare-metal", memctrl.BareMetal},
+		{"Interleaving", memctrl.Interleaving},
+		{"Selective-erasing", memctrl.SelectiveErasing},
+		{"Final", memctrl.Final},
 	}
-	gains := map[memctrl.Scheduler][]float64{}
+	cfgs := make([]system.Config, len(scheds))
+	for i, s := range scheds {
+		cfgs[i] = o.config(system.DRAMLess)
+		cfgs[i].Policy = s.pol
+		e.prefetchCfg(cfgs[i], o.kernels()...)
+	}
+	gains := map[string][]float64{}
 	for _, k := range o.kernels() {
 		row := newRow(k.Name)
 		var base float64
-		for _, s := range scheds {
-			res, err := e.getCfg(cfgs[s], k)
+		for i, s := range scheds {
+			res, err := e.getCfg(cfgs[i], k)
 			if err != nil {
 				return nil, err
 			}
 			bw := res.BandwidthMBps()
-			if s == memctrl.Noop {
+			if i == 0 {
 				base = bw
 			}
 			norm := bw / base
-			row.set(s.String(), norm)
-			gains[s] = append(gains[s], norm)
+			row.set(s.label, norm)
+			gains[s.label] = append(gains[s.label], norm)
 		}
 		p := workload.Params{Scale: o.Scale, Agents: 7}
 		row.set("write-ratio", k.WriteRatio(p))
@@ -162,9 +172,9 @@ func (e *Engine) Fig13() (*Table, error) {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"mean gain over Bare-metal: Interleaving %.0f%%, Selective-erasing %.0f%%, Final %.0f%% (paper: 54%% max / 57%% / 77%%)",
-		(stats.Mean(gains[memctrl.Interleave])-1)*100,
-		(stats.Mean(gains[memctrl.SelErase])-1)*100,
-		(stats.Mean(gains[memctrl.Final])-1)*100))
+		(stats.Mean(gains["Interleaving"])-1)*100,
+		(stats.Mean(gains["Selective-erasing"])-1)*100,
+		(stats.Mean(gains["Final"])-1)*100))
 	return t, nil
 }
 

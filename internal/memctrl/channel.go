@@ -12,17 +12,13 @@ import (
 // data bus shared by all packages on the channel (Figure 14), plus the
 // per-module controller state of the command generator.
 type channel struct {
-	cfg Config
-	// pol is the configured scheduling policy flattened to booleans at
-	// construction (resolvePolicy): the hot path never calls through
-	// the Policy interface.
-	pol     resolved
+	cfg     Config
 	cmdBus  *sim.Resource // CA bus: one command packet per tCK
 	dataBus *sim.Resource // shared dq[15:0]: one 32 B burst per tBURST
 	modules []*pram.Module
 
 	// modLastDone serializes operations per chip for the bare-metal
-	// (Noop) policy: a chip's next operation may not begin before its
+	// policy: a chip's next operation may not begin before its
 	// previous one fully completed (Figure 12's non-interleaved case).
 	// Different chips still proceed in parallel - that is the device's
 	// bank-level parallelism, not a scheduler optimization.
@@ -100,7 +96,6 @@ const (
 func newChannel(idx int, cfg Config) (*channel, error) {
 	ch := &channel{
 		cfg:         cfg,
-		pol:         resolvePolicy(cfg.policy()),
 		cmdBus:      sim.NewResource(fmt.Sprintf("ch%d.ca", idx)),
 		dataBus:     sim.NewResource(fmt.Sprintf("ch%d.dq", idx)),
 		nextBA:      make([]uint8, cfg.Params.Packages),
@@ -123,7 +118,7 @@ func newChannel(idx int, cfg Config) (*channel, error) {
 			return nil, err
 		}
 		m.ShareBus(ch.dataBus)
-		m.EnableWritePausing(cfg.WritePausing || ch.pol.pauseReads)
+		m.EnableWritePausing(cfg.Policy.PauseReads)
 		ch.modules = append(ch.modules, m)
 	}
 	if hs := cfg.Obs.Histograms(); hs != nil {
@@ -187,13 +182,13 @@ func (ch *channel) issue(at sim.Time) sim.Time {
 // gate applies the scheduling policy's ordering constraint to an
 // operation on module mod that wants to start at `at`.
 func (ch *channel) gate(at sim.Time, mod int) sim.Time {
-	if !ch.pol.interleave {
+	if !ch.cfg.Policy.Interleave {
 		return sim.Max(at, ch.modLastDone[mod])
 	}
 	return at
 }
 
-// complete records an operation completion for the Noop ordering.
+// complete records an operation completion for the bare-metal ordering.
 func (ch *channel) complete(done sim.Time, mod int) {
 	if done > ch.modLastDone[mod] {
 		ch.modLastDone[mod] = done
@@ -298,7 +293,7 @@ func (ch *channel) readRowInto(at sim.Time, mod int, rowAddr uint64, col int, ds
 // exactly as in Figure 12. Without interleaving each request runs to
 // completion before the next starts (bare-metal ordering).
 func (ch *channel) readBatch(at sim.Time, reqs []rowReq) error {
-	if !ch.pol.interleave {
+	if !ch.cfg.Policy.Interleave {
 		for i := range reqs {
 			if err := ch.readOne(&reqs[i], ch.gate(at, reqs[i].mod)); err != nil {
 				return err
@@ -330,7 +325,7 @@ func (ch *channel) readBatch(at sim.Time, reqs []rowReq) error {
 	}
 	seen := ch.resetSeen()
 	waves, used := ch.rWaves, 0
-	deferring := ch.pol.partitionOverlap
+	deferring := ch.cfg.Policy.PartitionOverlap
 	for pass := 0; pass < 2; pass++ {
 		for i := range reqs {
 			if deferring {
@@ -407,7 +402,7 @@ func (ch *channel) readOne(r *rowReq, at sim.Time) error {
 	if ch.tr != nil {
 		ch.tr.Span(ch.proc, ch.tracks[r.mod], "read", at, r.done)
 	}
-	if ch.cfg.Prefetch && ch.pol.interleave {
+	if ch.cfg.Prefetch && ch.cfg.Policy.Interleave {
 		ch.prefetch(rowReady, r.mod, r.row+1)
 	}
 	return nil
@@ -529,8 +524,8 @@ func (ch *channel) prefetch(at sim.Time, mod int, rowAddr uint64) {
 	// speculative sense behind an in-flight program would extend the
 	// partition frontier (PALP) or pause a real program for data nobody
 	// asked for (pause-aware).
-	if ch.pol.avoidBusyPrefetch && ch.partitionBusy(at, mod, rowAddr) {
-		if ch.pol.partitionOverlap {
+	if ch.cfg.Policy.avoidBusyPrefetch() && ch.partitionBusy(at, mod, rowAddr) {
+		if ch.cfg.Policy.PartitionOverlap {
 			ch.stats.PartitionOverlapWins++
 		}
 		return
@@ -606,7 +601,7 @@ func (ch *channel) writeRow(at sim.Time, mod int, rowAddr uint64, col int, data 
 		ch.tr.Span(ch.proc, ch.tracks[mod], "program", at, done)
 	}
 
-	if !ch.pol.interleave {
+	if !ch.cfg.Policy.Interleave {
 		// Bare-metal and selective-erasing do not overlap the chip's next
 		// operation with this program flow's bus activity, but the array
 		// program itself is posted on every policy (the program buffer
@@ -632,7 +627,7 @@ type writeReq struct {
 // packages pipeline on the shared channel buses; without interleaving
 // each flow runs to completion before the next starts.
 func (ch *channel) writeBatch(at sim.Time, reqs []writeReq) error {
-	if !ch.pol.interleave {
+	if !ch.cfg.Policy.Interleave {
 		for i := range reqs {
 			d, err := ch.writeRow(at, reqs[i].mod, reqs[i].row, 0, reqs[i].data)
 			if err != nil {
@@ -725,7 +720,7 @@ func (ch *channel) writeWave(at sim.Time, wave []*writeReq) error {
 //     since the previous program sufficed and nothing sensed the row in
 //     between.
 func (ch *channel) maybePreErase(at sim.Time, mod int, rowAddr uint64) {
-	if !ch.pol.selErase || ch.intent == nil {
+	if !ch.cfg.Policy.SelectiveErase || ch.intent == nil {
 		return
 	}
 	declared, ok := ch.intent(mod, rowAddr)
@@ -760,7 +755,7 @@ func (ch *channel) preEraseRow(at sim.Time, mod int, rowAddr uint64) (done sim.T
 		return 0, err
 	}
 	ch.stats.PreErasedRows++
-	if !ch.pol.interleave {
+	if !ch.cfg.Policy.Interleave {
 		ch.complete(done, mod)
 	}
 	return done, nil

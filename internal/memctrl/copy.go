@@ -72,9 +72,7 @@ func pooledWWaves() [][]*writeReq {
 // declared write-intent ranges, wear-leveler position, and every
 // channel's scheduler and device state. Both subsystems must have been
 // built from the same Config; construction-time wiring (intent closures,
-// instruments, scratch buffers, the resolved scheduling policy - which
-// holds no mutable state, its counters live in channel.stats) is left
-// to the fresh construction.
+// instruments, scratch buffers) is left to the fresh construction.
 func (s *Subsystem) CopyFrom(src *Subsystem) {
 	s.bootedAt = src.bootedAt
 	s.booted = src.booted

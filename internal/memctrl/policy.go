@@ -4,37 +4,20 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Policy is a pluggable request scheduling policy for the PRAM
-// controller. A policy declares its capabilities once; the channel and
-// subsystem resolve them into plain booleans at construction time, so
-// dispatch adds no per-request interface calls or allocations to the
-// hot path (the zero-allocation datapath contract of DESIGN.md §8).
+// Policy is a request scheduling policy of the PRAM controller: a name
+// plus the capability vector it enables, each field one behavior of the
+// channel/subsystem scheduling machinery. A Policy is a plain comparable
+// value; the channel and subsystem read its booleans directly, so
+// dispatch adds no per-request indirection or allocation to the hot path
+// (the zero-allocation datapath contract of DESIGN.md §8).
 //
-// The four legacy Scheduler enum values are registered as canonical
-// policies ("bare-metal", "interleaving", "selective-erasing",
-// "final"); PolicyFor adapts the enum onto them, so old call sites
-// keep compiling and behave identically. New policies register through
-// RegisterPolicy and become visible to the CLI, the experiment
-// harness and the `dramless arena` tournament by name.
-type Policy interface {
-	// Name identifies the policy in the registry, in system.Config and
-	// in rendered tables. Lookup is case-insensitive.
-	Name() string
-	// Description is a one-line summary for CLI listings.
-	Description() string
-	// Capabilities declares which scheduling behaviors the policy
-	// enables. It is read once per subsystem build.
-	Capabilities() Capabilities
-}
-
-// Capabilities is the capability vector of a scheduling policy: each
-// field enables one behavior of the channel/subsystem scheduling
-// machinery. The four legacy schedulers are points in this space; new
-// policies compose the same axes.
-type Capabilities struct {
+// The zero value is the bare-metal capability vector without a name.
+type Policy struct {
+	// Name identifies the policy in PolicyByName, in rendered tables and
+	// in the CLI.
+	Name string
 	// Interleave overlaps one partition's array access with another
 	// row's bus transfer (multi-resource-aware interleaving,
 	// Figure 12). Without it every chip operation runs to completion
@@ -64,204 +47,69 @@ type Capabilities struct {
 	WearLeveling bool
 }
 
-// builtinPolicy is the concrete type behind every registered built-in.
-type builtinPolicy struct {
-	name string
-	desc string
-	caps Capabilities
-}
-
-func (p *builtinPolicy) Name() string               { return p.name }
-func (p *builtinPolicy) Description() string        { return p.desc }
-func (p *builtinPolicy) Capabilities() Capabilities { return p.caps }
-func (p *builtinPolicy) String() string             { return p.name }
-
-// The canonical policies. The first four reproduce the legacy
-// Scheduler enum values exactly; the rest are the new schedulers the
-// arena tournament compares against them.
+// The paper's four schedulers (Figure 13).
 var (
-	policyBareMetal = &builtinPolicy{
-		name: "bare-metal",
-		desc: "strict in-order, no phase overlap (legacy Noop)",
-	}
-	policyInterleave = &builtinPolicy{
-		name: "interleaving",
-		desc: "multi-resource-aware interleaving, Figure 12 (legacy Interleave)",
-		caps: Capabilities{Interleave: true},
-	}
-	policySelErase = &builtinPolicy{
-		name: "selective-erasing",
-		desc: "pre-RESET of declared write-intent rows, Section V-A (legacy SelErase)",
-		caps: Capabilities{SelectiveErase: true},
-	}
-	policyFinal = &builtinPolicy{
-		name: "final",
-		desc: "interleaving + selective erasing, the paper's DRAM-less default",
-		caps: Capabilities{Interleave: true, SelectiveErase: true},
-	}
-	policyPALP = &builtinPolicy{
-		name: "palp",
-		desc: "final + PALP-inspired partition read/write overlap (busy-partition reads deferred)",
-		caps: Capabilities{Interleave: true, SelectiveErase: true, PartitionOverlap: true},
-	}
-	policyPauseAware = &builtinPolicy{
-		name: "pause-aware",
-		desc: "final + write pausing: demand reads preempt in-flight programs",
-		caps: Capabilities{Interleave: true, SelectiveErase: true, PauseReads: true},
-	}
-	policyWearAware = &builtinPolicy{
-		name: "wear-aware",
-		desc: "final + start-gap leveling with gap moves deferred to idle windows",
-		caps: Capabilities{Interleave: true, SelectiveErase: true, WearLeveling: true},
-	}
+	// BareMetal processes requests strictly in order: a read's
+	// addressing phases never overlap another read's data burst.
+	BareMetal = Policy{Name: "bare-metal"}
+	// Interleaving is multi-resource-aware interleaving (Figure 12).
+	Interleaving = Policy{Name: "interleaving", Interleave: true}
+	// SelectiveErasing pre-RESETs declared write-intent rows
+	// (Section V-A).
+	SelectiveErasing = Policy{Name: "selective-erasing", SelectiveErase: true}
+	// Final combines interleaving and selective erasing; the paper
+	// applies it to DRAM-less by default.
+	Final = Policy{Name: "final", Interleave: true, SelectiveErase: true}
 )
 
-// registry holds the registered policies in registration order. The
-// mutex only matters for late RegisterPolicy calls racing readers;
-// built-ins register before main.
-var (
-	registryMu sync.RWMutex
-	registry   []Policy
-)
-
-func init() {
-	for _, p := range []Policy{
-		policyBareMetal, policyInterleave, policySelErase, policyFinal,
-		policyPALP, policyPauseAware, policyWearAware,
-	} {
-		RegisterPolicy(p)
-	}
-}
-
-// RegisterPolicy adds a policy to the registry. It panics on a nil
-// policy, an empty name, a name that collides (case-insensitively)
-// with a registered one, or a capability vector that fails Validate —
-// registration is a programming act, like http.Handle.
-func RegisterPolicy(p Policy) {
-	if p == nil || p.Name() == "" {
-		panic("memctrl: RegisterPolicy needs a named policy")
-	}
-	if err := p.Capabilities().Validate(); err != nil {
-		panic(fmt.Sprintf("memctrl: policy %q: %v", p.Name(), err))
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	for _, q := range registry {
-		if strings.EqualFold(q.Name(), p.Name()) {
-			panic(fmt.Sprintf("memctrl: policy %q already registered", p.Name()))
-		}
-	}
-	registry = append(registry, p)
+// policies is the closed table of built-in policies: the paper's four,
+// then the schedulers the arena tournament compares against them.
+var policies = [...]Policy{
+	BareMetal, Interleaving, SelectiveErasing, Final,
+	// final + PALP-inspired partition read/write overlap.
+	{Name: "palp", Interleave: true, SelectiveErase: true, PartitionOverlap: true},
+	// final + write pausing: demand reads preempt in-flight programs.
+	{Name: "pause-aware", Interleave: true, SelectiveErase: true, PauseReads: true},
+	// final + start-gap leveling with gap moves deferred to idle windows.
+	{Name: "wear-aware", Interleave: true, SelectiveErase: true, WearLeveling: true},
 }
 
 // Validate reports capability combinations the scheduling machinery
 // cannot honor.
-func (c Capabilities) Validate() error {
-	if c.PartitionOverlap && !c.Interleave {
-		return fmt.Errorf("partition overlap requires interleaving (there are no waves to reorder)")
+func (p Policy) Validate() error {
+	if p.PartitionOverlap && !p.Interleave {
+		return fmt.Errorf("memctrl: policy %q: partition overlap requires interleaving (there are no waves to reorder)", p.Name)
 	}
 	return nil
 }
 
-// Policies returns the registered policies in registration order.
-func Policies() []Policy {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Policy, len(registry))
-	copy(out, registry)
-	return out
-}
+// avoidBusyPrefetch reports whether speculative prefetches skip busy
+// partitions: PALP keeps them from extending the partition frontier
+// behind an in-flight program, and pause-aware keeps a speculative
+// sense from pausing a real program.
+func (p Policy) avoidBusyPrefetch() bool { return p.PartitionOverlap || p.PauseReads }
 
-// PolicyNames returns the registered policy names in registration
-// order.
+// PolicyNames returns the built-in policy names in table order.
 func PolicyNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, len(registry))
-	for i, p := range registry {
-		out[i] = p.Name()
+	out := make([]string, len(policies))
+	for i, p := range policies {
+		out[i] = p.Name
 	}
 	return out
 }
 
-// PolicyByName resolves a policy by registry name, case-insensitively.
-// The legacy enum display names ("Bare-metal", "Interleaving",
-// "Selective-erasing", "Final") resolve to their canonical policies.
-// Unknown names return an error listing what is registered.
+// PolicyByName returns the built-in policy with the given name,
+// case-insensitively, so Figure 13's column labels ("Bare-metal",
+// "Final", ...) resolve too. Unknown names return an error listing the
+// known ones.
 func PolicyByName(name string) (Policy, error) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	for _, p := range registry {
-		if strings.EqualFold(p.Name(), name) {
+	for _, p := range policies {
+		if strings.EqualFold(p.Name, name) {
 			return p, nil
 		}
 	}
-	known := make([]string, len(registry))
-	for i, p := range registry {
-		known[i] = p.Name()
-	}
+	known := PolicyNames()
 	sort.Strings(known)
-	return nil, fmt.Errorf("memctrl: unknown scheduling policy %q (known: %s)",
+	return Policy{}, fmt.Errorf("memctrl: unknown scheduling policy %q (known: %s)",
 		name, strings.Join(known, ", "))
-}
-
-// PolicyFor adapts a legacy Scheduler enum value onto its canonical
-// registered policy; nil for out-of-range values (Config.Validate
-// rejects those first).
-func PolicyFor(s Scheduler) Policy {
-	switch s {
-	case Noop:
-		return policyBareMetal
-	case Interleave:
-		return policyInterleave
-	case SelErase:
-		return policySelErase
-	case Final:
-		return policyFinal
-	default:
-		return nil
-	}
-}
-
-// policy resolves the configured policy: the explicit Policy field
-// when set, else the legacy Scheduler enum's canonical policy.
-func (c Config) policy() Policy {
-	if c.Policy != nil {
-		return c.Policy
-	}
-	if p := PolicyFor(c.Scheduler); p != nil {
-		return p
-	}
-	return policyBareMetal // unreachable after Validate
-}
-
-// resolved is the construction-time flattening of a Policy: the
-// channel and subsystem hot paths read plain booleans instead of
-// calling through the interface, keeping scheduling dispatch off the
-// per-request cost model entirely.
-type resolved struct {
-	name             string
-	interleave       bool
-	selErase         bool
-	partitionOverlap bool
-	pauseReads       bool
-	wearIdleMoves    bool
-	// avoidBusyPrefetch suppresses speculative prefetches into busy
-	// partitions: PALP keeps them from extending the partition
-	// frontier behind an in-flight program, and pause-aware keeps a
-	// speculative sense from pausing a real program.
-	avoidBusyPrefetch bool
-}
-
-func resolvePolicy(p Policy) resolved {
-	caps := p.Capabilities()
-	return resolved{
-		name:              p.Name(),
-		interleave:        caps.Interleave,
-		selErase:          caps.SelectiveErase,
-		partitionOverlap:  caps.PartitionOverlap,
-		pauseReads:        caps.PauseReads,
-		wearIdleMoves:     caps.WearLeveling,
-		avoidBusyPrefetch: caps.PartitionOverlap || caps.PauseReads,
-	}
 }

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,27 +11,21 @@ import (
 )
 
 func TestPolicyRegistry(t *testing.T) {
-	names := PolicyNames()
 	want := []string{"bare-metal", "interleaving", "selective-erasing", "final",
 		"palp", "pause-aware", "wear-aware"}
-	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("policy %q not registered (have %v)", w, names)
-		}
+	if got := PolicyNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("PolicyNames() = %v, want %v", got, want)
 	}
-	if len(Policies()) != len(names) {
-		t.Errorf("Policies/PolicyNames length mismatch")
-	}
-	for _, p := range Policies() {
-		if p.Description() == "" {
-			t.Errorf("policy %q has no description", p.Name())
+	for _, name := range want {
+		p, err := PolicyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name != name {
+			t.Errorf("PolicyByName(%q).Name = %q", name, p.Name)
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("built-in policy %q invalid: %v", name, err)
 		}
 	}
 }
@@ -41,14 +36,17 @@ func TestPolicyByNameCaseInsensitive(t *testing.T) {
 			t.Errorf("PolicyByName(%q): %v", name, err)
 		}
 	}
-	// The legacy enum display names resolve to the canonical policies.
-	for s := Noop; s <= Final; s++ {
-		p, err := PolicyByName(s.String())
+	// Figure 13's column labels resolve to the paper's four schedulers.
+	for label, want := range map[string]Policy{
+		"Bare-metal": BareMetal, "Interleaving": Interleaving,
+		"Selective-erasing": SelectiveErasing, "Final": Final,
+	} {
+		p, err := PolicyByName(label)
 		if err != nil {
-			t.Fatalf("enum display name %q not resolvable: %v", s.String(), err)
+			t.Fatalf("label %q not resolvable: %v", label, err)
 		}
-		if p != PolicyFor(s) {
-			t.Errorf("PolicyByName(%q) != PolicyFor(%v)", s.String(), s)
+		if p != want {
+			t.Errorf("PolicyByName(%q) = %+v, want %+v", label, p, want)
 		}
 	}
 	_, err := PolicyByName("round-robin")
@@ -56,89 +54,28 @@ func TestPolicyByNameCaseInsensitive(t *testing.T) {
 		t.Fatal("unknown policy accepted")
 	}
 	if !strings.Contains(err.Error(), "known:") || !strings.Contains(err.Error(), "palp") {
-		t.Errorf("unknown-policy error should list the registry: %v", err)
-	}
-}
-
-func TestPolicyForMatchesEnumFlags(t *testing.T) {
-	for s := Noop; s <= Final; s++ {
-		p := PolicyFor(s)
-		if p == nil {
-			t.Fatalf("PolicyFor(%v) = nil", s)
-		}
-		caps := p.Capabilities()
-		if caps.Interleave != s.Interleaving() || caps.SelectiveErase != s.SelectiveErasing() {
-			t.Errorf("%v: policy caps %+v disagree with enum flags", s, caps)
-		}
-	}
-	if PolicyFor(Scheduler(99)) != nil {
-		t.Error("out-of-range scheduler adapted to a policy")
+		t.Errorf("unknown-policy error should list the built-ins: %v", err)
 	}
 }
 
 func TestCapabilitiesValidate(t *testing.T) {
-	if err := (Capabilities{PartitionOverlap: true, Interleave: true}).Validate(); err != nil {
+	if err := (Policy{PartitionOverlap: true, Interleave: true}).Validate(); err != nil {
 		t.Errorf("valid capability vector rejected: %v", err)
 	}
-	if err := (Capabilities{PartitionOverlap: true}).Validate(); err == nil {
+	broken := Policy{Name: "broken", PartitionOverlap: true}
+	if err := broken.Validate(); err == nil {
 		t.Error("partition overlap without interleaving accepted")
 	}
-	cfg := DefaultPolicyConfig(&builtinPolicy{name: "broken", caps: Capabilities{PartitionOverlap: true}})
-	if err := cfg.Validate(); err == nil {
+	if err := DefaultConfig(broken).Validate(); err == nil {
 		t.Error("config with invalid policy capabilities accepted")
 	}
-}
-
-func TestRegisterPolicyRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	RegisterPolicy(&builtinPolicy{name: "FINAL"}) // case-insensitive collision
-}
-
-// Enum configs and their canonical named policies must build
-// byte-and-time-identical subsystems.
-func TestEnumAndNamedPolicyEquivalent(t *testing.T) {
-	for s := Noop; s <= Final; s++ {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			byEnum := mustSubsystem(t, s)
-			cfg := testConfig(s)
-			cfg.Scheduler = 0
-			cfg.Policy = PolicyFor(s)
-			byName := MustNew(cfg)
-			if byName.Policy() != byEnum.Policy() {
-				t.Fatalf("policy names differ: %q vs %q", byName.Policy(), byEnum.Policy())
-			}
-			payload := bytes.Repeat([]byte{0x5A}, 512)
-			for _, sub := range []*Subsystem{byEnum, byName} {
-				if _, err := sub.Write(0, 4096, payload); err != nil {
-					t.Fatal(err)
-				}
-			}
-			dE, dN := byEnum.Drain(), byName.Drain()
-			if dE != dN {
-				t.Fatalf("write drain differs: %v vs %v", dE, dN)
-			}
-			_, e1, err := byEnum.Read(dE, 4096, 512)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, n1, err := byName.Read(dN, 4096, 512)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e1 != n1 {
-				t.Fatalf("read completion differs: %v vs %v", e1, n1)
-			}
-		})
+	if _, err := New(testConfig(broken)); err == nil {
+		t.Error("New built a subsystem from invalid policy capabilities")
 	}
 }
 
 // Property: the new policies preserve data correctness — any sequence of
-// writes then reads matches a shadow buffer, exactly like the legacy
+// writes then reads matches a shadow buffer, exactly like the paper
 // schedulers in TestFunctionalEquivalenceProperty.
 func TestNewPolicyFunctionalEquivalence(t *testing.T) {
 	for _, name := range []string{"palp", "pause-aware", "wear-aware"} {
@@ -148,7 +85,7 @@ func TestNewPolicyFunctionalEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := testConfig(Noop)
+			cfg := testConfig(BareMetal)
 			cfg.Policy = p
 			sub := MustNew(cfg)
 			shadow := make([]byte, 4096)
@@ -190,7 +127,7 @@ func mustPolicySubsystem(t *testing.T, name string) *Subsystem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(Noop)
+	cfg := testConfig(BareMetal)
 	cfg.Policy = p
 	return MustNew(cfg)
 }

@@ -17,10 +17,7 @@ import (
 // then across channels, so a 1 KiB request touches every module once
 // (the paper's "512 bytes per channel, 32 bytes per bank").
 type Subsystem struct {
-	cfg Config
-	// pol is the scheduling policy flattened at construction; see
-	// channel.pol.
-	pol      resolved
+	cfg      Config
 	channels []*channel
 
 	rowBytes uint64
@@ -79,15 +76,13 @@ func New(cfg Config) (*Subsystem, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pol := resolvePolicy(cfg.policy())
-	if pol.wearIdleMoves && !cfg.Wear.Enabled {
+	if cfg.Policy.WearLeveling && !cfg.Wear.Enabled {
 		// A wear-aware policy is self-contained: it brings start-gap
 		// leveling along when the config leaves it off.
 		cfg.Wear = DefaultWear()
 	}
 	s := &Subsystem{
 		cfg:      cfg,
-		pol:      pol,
 		rowBytes: uint64(cfg.Geometry.RowBytes),
 		pkgs:     uint64(cfg.Params.Packages),
 		chans:    uint64(cfg.Params.Channels),
@@ -382,7 +377,7 @@ func (s *Subsystem) Write(at sim.Time, addr uint64, data []byte) (done sim.Time,
 // SET pulses. A no-op unless the scheduler enables selective erasing,
 // letting callers declare intent unconditionally.
 func (s *Subsystem) PreErase(at sim.Time, addr uint64, n int) (done sim.Time, err error) {
-	if !s.pol.selErase {
+	if !s.cfg.Policy.SelectiveErase {
 		return at, nil
 	}
 	if err := s.checkRange(addr, n); err != nil {
@@ -467,10 +462,6 @@ func (s *Subsystem) ChannelStats() []Stats {
 	}
 	return out
 }
-
-// Policy returns the name of the scheduling policy the subsystem was
-// built with.
-func (s *Subsystem) Policy() string { return s.pol.name }
 
 // ModuleStats sums device-level counters over all modules.
 func (s *Subsystem) ModuleStats() pram.Stats {

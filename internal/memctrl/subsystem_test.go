@@ -12,15 +12,15 @@ import (
 
 // testConfig returns a small subsystem (64 Ki rows per module) so tests
 // stay fast while keeping the full 2x16 topology.
-func testConfig(s Scheduler) Config {
-	cfg := DefaultConfig(s)
+func testConfig(p Policy) Config {
+	cfg := DefaultConfig(p)
 	cfg.Geometry.RowsPerModule = 1 << 16
 	return cfg
 }
 
-func mustSubsystem(t *testing.T, s Scheduler) *Subsystem {
+func mustSubsystem(t *testing.T, p Policy) *Subsystem {
 	t.Helper()
-	sub, err := New(testConfig(s))
+	sub, err := New(testConfig(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,29 +35,6 @@ func TestConfigValidation(t *testing.T) {
 	cfg.ChannelRequestBytes = 100 // not a row multiple
 	if err := cfg.Validate(); err == nil {
 		t.Error("bad channel request size accepted")
-	}
-	cfg = DefaultConfig(Final)
-	cfg.Scheduler = Scheduler(99)
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown scheduler accepted")
-	}
-}
-
-func TestSchedulerFlags(t *testing.T) {
-	if Noop.Interleaving() || Noop.SelectiveErasing() {
-		t.Error("Noop claims optimizations")
-	}
-	if !Interleave.Interleaving() || Interleave.SelectiveErasing() {
-		t.Error("Interleave flags wrong")
-	}
-	if SelErase.Interleaving() || !SelErase.SelectiveErasing() {
-		t.Error("SelErase flags wrong")
-	}
-	if !Final.Interleaving() || !Final.SelectiveErasing() {
-		t.Error("Final flags wrong")
-	}
-	if Noop.String() != "Bare-metal" || Final.String() != "Final" {
-		t.Error("scheduler names wrong")
 	}
 }
 
@@ -174,7 +151,7 @@ func TestPhaseSkippingDisabled(t *testing.T) {
 }
 
 func TestRereadLatencyDropsWithPhaseSkipping(t *testing.T) {
-	sub := mustSubsystem(t, Noop) // no prefetch/interleave noise
+	sub := mustSubsystem(t, BareMetal) // no prefetch/interleave noise
 	_, d1, err := sub.Read(0, 0, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +172,7 @@ func TestRereadLatencyDropsWithPhaseSkipping(t *testing.T) {
 }
 
 func TestInterleavingBeatsBareMetalOnStreamingReads(t *testing.T) {
-	read512 := func(s Scheduler) sim.Duration {
+	read512 := func(s Policy) sim.Duration {
 		cfg := testConfig(s)
 		cfg.Prefetch = false
 		sub := MustNew(cfg)
@@ -205,8 +182,8 @@ func TestInterleavingBeatsBareMetalOnStreamingReads(t *testing.T) {
 		}
 		return done
 	}
-	noop := read512(Noop)
-	inter := read512(Interleave)
+	noop := read512(BareMetal)
+	inter := read512(Interleaving)
 	if inter >= noop {
 		t.Fatalf("interleave (%v) not faster than bare-metal (%v)", inter, noop)
 	}
@@ -222,7 +199,7 @@ func TestFig12TwoRequestOverlap(t *testing.T) {
 	// Figure 12: req-0 and req-1 target different partitions of the same
 	// chip. With interleaving, req-1's tRP+tRCD overlaps req-0's data
 	// burst, so the pair completes sooner than serial processing.
-	elapsed := func(s Scheduler) sim.Duration {
+	elapsed := func(s Policy) sim.Duration {
 		cfg := testConfig(s)
 		cfg.Prefetch = false
 		sub := MustNew(cfg)
@@ -238,15 +215,15 @@ func TestFig12TwoRequestOverlap(t *testing.T) {
 		}
 		return sim.Max(d0, d1)
 	}
-	serial := elapsed(Noop)
-	overlapped := elapsed(Interleave)
+	serial := elapsed(BareMetal)
+	overlapped := elapsed(Interleaving)
 	if overlapped >= serial {
 		t.Fatalf("interleaved pair (%v) not faster than serial (%v)", overlapped, serial)
 	}
 }
 
 func TestSelectiveErasingSpeedsOverwrites(t *testing.T) {
-	overwriteTime := func(s Scheduler) sim.Duration {
+	overwriteTime := func(s Policy) sim.Duration {
 		sub := mustSubsystem(t, s)
 		buf := bytes.Repeat([]byte{0xA5}, 32)
 		// Stale contents, then declare write intent; once the background
@@ -266,7 +243,7 @@ func TestSelectiveErasingSpeedsOverwrites(t *testing.T) {
 		}
 		return sub.Drain() - start
 	}
-	plain := overwriteTime(Interleave) // PreErase is a no-op here
+	plain := overwriteTime(Interleaving) // PreErase is a no-op here
 	erased := overwriteTime(Final)
 	if erased >= plain {
 		t.Fatalf("pre-erased overwrite (%v) not faster than plain (%v)", erased, plain)
@@ -278,7 +255,7 @@ func TestSelectiveErasingSpeedsOverwrites(t *testing.T) {
 }
 
 func TestPreEraseNoopWithoutSelErase(t *testing.T) {
-	sub := mustSubsystem(t, Interleave)
+	sub := mustSubsystem(t, Interleaving)
 	done, err := sub.PreErase(5, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -391,10 +368,16 @@ func TestModuleStatsAggregate(t *testing.T) {
 // Property: any sequence of writes then reads over a 4 KiB region matches
 // a shadow buffer, across all schedulers.
 func TestFunctionalEquivalenceProperty(t *testing.T) {
-	for _, sched := range []Scheduler{Noop, Interleave, SelErase, Final} {
-		sched := sched
-		t.Run(sched.String(), func(t *testing.T) {
-			sub := mustSubsystem(t, sched)
+	for _, c := range []struct {
+		label string
+		pol   Policy
+	}{
+		{"Bare-metal", BareMetal}, {"Interleaving", Interleaving},
+		{"Selective-erasing", SelectiveErasing}, {"Final", Final},
+	} {
+		c := c
+		t.Run(c.label, func(t *testing.T) {
+			sub := mustSubsystem(t, c.pol)
 			shadow := make([]byte, 4096)
 			now := sim.Time(0)
 			f := func(off uint16, n uint8, fill byte, write bool) bool {

@@ -182,7 +182,7 @@ func (s *Subsystem) noteProgram(at sim.Time, paddr uint64) (sim.Time, error) {
 	// contends with the foreground request that triggered it (and never
 	// pushes the shared bus frontiers into the in-flight programs'
 	// shadow; see readBatch on partition overlap).
-	if s.pol.wearIdleMoves {
+	if s.cfg.Policy.WearLeveling {
 		at = sim.Max(at, s.Drain())
 	}
 	data, d, err := s.readPhysicalRow(at, src)

@@ -164,19 +164,12 @@ type Config struct {
 	Scale int64
 	// PRAMRowsPerModule sizes the PRAM subsystem (simulation knob).
 	PRAMRowsPerModule uint64
-	// Scheduler is the PRAM controller policy for DRAM-less builds.
-	// Ignored when Policy is set.
-	//
-	// Deprecated: the enum reaches only the four legacy schedulers;
-	// Policy selects from the full registry.
-	Scheduler memctrl.Scheduler
-	// Policy selects the PRAM controller scheduling policy by registry
-	// name ("final", "palp", "pause-aware", ...; see
-	// memctrl.PolicyNames). Empty derives the policy from the legacy
-	// Scheduler field. It is a string, not a memctrl.Policy, so Config
-	// stays comparable (it is the experiment engine's cache key, and
-	// the policy name is part of a cell's identity).
-	Policy string
+	// Policy is the PRAM controller scheduling policy of DRAM-less
+	// builds (see memctrl.PolicyByName); other kinds ignore it. A
+	// memctrl.Policy is a comparable value, so Config stays comparable
+	// (it is the experiment engine's cache key, and the policy is part
+	// of a cell's identity).
+	Policy memctrl.Policy
 	// Wear enables start-gap wear leveling in DRAM-less builds
 	// (Section VII extension).
 	Wear memctrl.WearConfig
@@ -212,7 +205,7 @@ func DefaultConfig(kind Kind) Config {
 		Accel:             accel.Default(),
 		Scale:             2 << 20,
 		PRAMRowsPerModule: 1 << 16,
-		Scheduler:         memctrl.Final,
+		Policy:            memctrl.Final,
 		SSDCapacity:       256 << 20,
 		Energy:            energy.Default(),
 		Host:              hostsw.DefaultCosts(),
@@ -244,26 +237,7 @@ func (c Config) Validate() error {
 	if err := c.Link.Validate(); err != nil {
 		return err
 	}
-	if c.Policy != "" {
-		if _, err := memctrl.PolicyByName(c.Policy); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// schedulerPolicy resolves the DRAM-less controller policy: the Policy
-// registry name when set, else the legacy Scheduler enum's canonical
-// policy. Out-of-range enum values error exactly as memctrl's own
-// validation used to report them.
-func (c Config) schedulerPolicy() (memctrl.Policy, error) {
-	if c.Policy != "" {
-		return memctrl.PolicyByName(c.Policy)
-	}
-	if p := memctrl.PolicyFor(c.Scheduler); p != nil {
-		return p, nil
-	}
-	return nil, fmt.Errorf("memctrl: unknown scheduler %d", c.Scheduler)
+	return c.Policy.Validate()
 }
 
 // bufferBytes resolves the internal-DRAM buffer size.

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"dramless/internal/memctrl"
 	"dramless/internal/obs"
 	"dramless/internal/sim"
 	"dramless/internal/workload"
@@ -38,22 +39,14 @@ func PrefixOf(cfg Config, k workload.Kernel) Prefix {
 	norm := cfg
 	norm.Obs = nil
 	norm.SampleInterval = 0
-	// Scheduler policy: only the DRAM-less kind reads the
-	// Scheduler/Policy pair (the firmware-managed build forces
-	// bare-metal, every other kind has no PRAM controller), and a legacy
-	// enum value builds the identical controller as its canonical
-	// registry policy — both spellings share one checkpoint. The policy
-	// does shape the prefix itself for DRAM-less (the load phase's
-	// PreErase intent declaration), so the canonical name stays in the
-	// key there.
-	if norm.Kind == DRAMLess {
-		if p, err := norm.schedulerPolicy(); err == nil {
-			norm.Policy = p.Name()
-		}
-	} else {
-		norm.Policy = ""
+	// Only the DRAM-less kind reads the scheduling policy (the
+	// firmware-managed build forces bare-metal, every other kind has no
+	// PRAM controller), so other kinds share checkpoints regardless of
+	// it. For DRAM-less the policy shapes the prefix itself (the load
+	// phase's PreErase intent declaration), so it stays in the key.
+	if norm.Kind != DRAMLess {
+		norm.Policy = memctrl.Policy{}
 	}
-	norm.Scheduler = 0
 	return Prefix{
 		Cfg:    norm,
 		In:     k.InputBytes(p),

@@ -2,7 +2,6 @@ package system
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"dramless/internal/memctrl"
@@ -14,18 +13,18 @@ import (
 // one dense-read kernel and one write-heavy kernel.
 var policyEquivKernels = []string{"gemver", "doitg"}
 
-// policyExports runs kernel kname on a DRAM-less system under the named
-// policy and returns the run plus its histogram JSON export.
-func policyExports(t *testing.T, name, kname string) (*Result, []byte) {
+// policyExports runs kernel kname on a DRAM-less system under policy
+// pol and returns the run plus its histogram JSON export.
+func policyExports(t *testing.T, pol memctrl.Policy, kname string) (*Result, []byte) {
 	t.Helper()
 	k := workload.MustByName(kname)
 	cfg := testConfig(DRAMLess)
 	cfg.Scale = 128 << 10
-	cfg.Policy = name
+	cfg.Policy = pol
 	cfg.Obs = obs.New()
 	res, err := Run(cfg, k)
 	if err != nil {
-		t.Fatalf("policy %q: %v", name, err)
+		t.Fatalf("policy %q: %v", pol.Name, err)
 	}
 	var hb bytes.Buffer
 	if err := cfg.Obs.Histograms().WriteJSON(&hb); err != nil {
@@ -34,22 +33,26 @@ func policyExports(t *testing.T, name, kname string) (*Result, []byte) {
 	return res, hb.Bytes()
 }
 
-// TestPolicyConformance is the policy registry's system-level oracle:
-// every registered policy must run deterministically — a cold run and a
+// TestPolicyConformance is the policy table's system-level oracle:
+// every built-in policy must run deterministically — a cold run and a
 // run forked from its populate/load checkpoint give identical phase
 // walls and byte-identical histogram exports.
 func TestPolicyConformance(t *testing.T) {
 	for _, name := range memctrl.PolicyNames() {
+		pol, err := memctrl.PolicyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, kname := range policyEquivKernels {
-			name, kname := name, kname
+			kname := kname
 			t.Run(name+"/"+kname, func(t *testing.T) {
-				serial, sh := policyExports(t, name, kname)
+				serial, sh := policyExports(t, pol, kname)
 
 				// Forked from the shared checkpoint: identical.
 				k := workload.MustByName(kname)
 				cfg := testConfig(DRAMLess)
 				cfg.Scale = 128 << 10
-				cfg.Policy = name
+				cfg.Policy = pol
 				cfg.Obs = obs.New()
 				cp, err := CapturePrefix(PrefixOf(cfg, k))
 				if err != nil {
@@ -75,94 +78,55 @@ func TestPolicyConformance(t *testing.T) {
 	}
 }
 
-// TestEnumAndPolicyNameRunIdentical pins the compatibility contract: a
-// legacy Scheduler enum config and its canonical policy name produce the
-// same simulation.
-func TestEnumAndPolicyNameRunIdentical(t *testing.T) {
-	k := workload.MustByName("gemver")
-	pairs := []struct {
-		s    memctrl.Scheduler
-		name string
-	}{
-		{memctrl.Noop, "bare-metal"},
-		{memctrl.Interleave, "interleaving"},
-		{memctrl.SelErase, "selective-erasing"},
-		{memctrl.Final, "final"},
-	}
-	for _, p := range pairs {
-		t.Run(p.name, func(t *testing.T) {
-			byEnum := testConfig(DRAMLess)
-			byEnum.Scale = 128 << 10
-			byEnum.Scheduler = p.s
-			re, err := Run(byEnum, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			byName := testConfig(DRAMLess)
-			byName.Scale = 128 << 10
-			byName.Policy = p.name
-			rn, err := Run(byName, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if re.Total != rn.Total || re.Kernel != rn.Kernel || re.Load != rn.Load {
-				t.Errorf("enum %v vs policy %q: walls differ (total %v vs %v)",
-					p.s, p.name, re.Total, rn.Total)
-			}
-			if !reflect.DeepEqual(re.Energy, rn.Energy) {
-				t.Errorf("enum %v vs policy %q: energy differs", p.s, p.name)
-			}
-		})
-	}
-}
-
 // TestPrefixOfNormalizesPolicy pins the checkpoint-key rules for the
-// scheduling policy: spelling (enum vs canonical name) never splits a
-// prefix, a genuinely different policy does, and organizations without
-// a PRAM controller ignore the policy entirely.
+// scheduling policy: a name lookup yields the same key as the exported
+// value, a genuinely different policy splits the key, and organizations
+// without a PRAM controller ignore the policy entirely.
 func TestPrefixOfNormalizesPolicy(t *testing.T) {
 	k := workload.MustByName("gemver")
-
-	enum := testConfig(DRAMLess)
-	enum.Scheduler = memctrl.Final
-	named := testConfig(DRAMLess)
-	named.Policy = "final"
-	if PrefixOf(enum, k) != PrefixOf(named, k) {
-		t.Error("enum Final and policy \"final\" should share a prefix")
+	byName := func(kind Kind, name string) Config {
+		t.Helper()
+		p, err := memctrl.PolicyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(kind)
+		cfg.Policy = p
+		return cfg
 	}
-	cased := testConfig(DRAMLess)
-	cased.Policy = "FINAL"
-	if PrefixOf(named, k) != PrefixOf(cased, k) {
+
+	final := testConfig(DRAMLess)
+	if final.Policy != memctrl.Final {
+		t.Fatalf("default policy %q, want final", final.Policy.Name)
+	}
+	if PrefixOf(final, k) != PrefixOf(byName(DRAMLess, "FINAL"), k) {
 		t.Error("policy lookup is case-insensitive; the prefix key must be too")
 	}
-
-	palp := testConfig(DRAMLess)
-	palp.Policy = "palp"
-	if PrefixOf(named, k) == PrefixOf(palp, k) {
+	if PrefixOf(final, k) == PrefixOf(byName(DRAMLess, "palp"), k) {
 		t.Error("different policies must split the prefix key")
 	}
 
 	// Non-PRAM organizations have no controller to schedule: the policy
 	// must normalize away so they share checkpoints regardless.
-	plain := testConfig(Hetero)
-	polled := testConfig(Hetero)
-	polled.Policy = "palp"
-	if PrefixOf(plain, k) != PrefixOf(polled, k) {
+	if PrefixOf(testConfig(Hetero), k) != PrefixOf(byName(Hetero, "palp"), k) {
 		t.Error("policy split a prefix on an organization without a PRAM controller")
 	}
 }
 
-// TestConfigValidatePolicyName pins the config-level error surface:
-// unknown policy names and out-of-range enum values are both rejected.
+// TestConfigValidatePolicyName pins the config-level error surface: a
+// policy whose capabilities the controller cannot honor is rejected by
+// Validate and by Run, and unknown names are rejected where names are
+// resolved.
 func TestConfigValidatePolicyName(t *testing.T) {
-	cfg := testConfig(DRAMLess)
-	cfg.Policy = "round-robin"
-	if err := cfg.Validate(); err == nil {
+	if _, err := memctrl.PolicyByName("round-robin"); err == nil {
 		t.Error("unknown policy name accepted")
 	}
-	cfg = testConfig(DRAMLess)
-	cfg.Scheduler = memctrl.Scheduler(99)
+	cfg := testConfig(DRAMLess)
+	cfg.Policy = memctrl.Policy{Name: "broken", PartitionOverlap: true}
+	if err := cfg.Validate(); err == nil {
+		t.Error("invalid policy capabilities accepted by Validate")
+	}
 	if _, err := Run(cfg, workload.MustByName("gemver")); err == nil {
-		t.Error("out-of-range scheduler enum accepted by Run")
+		t.Error("invalid policy capabilities accepted by Run")
 	}
 }

@@ -247,7 +247,7 @@ func newBuild(cfg Config) (*build, error) {
 	b.p2p = pcie.NewP2P(b.ssdLink, b.accLink)
 
 	mkSub := func(p memctrl.Policy) (*memctrl.Subsystem, error) {
-		mcCfg := memctrl.DefaultPolicyConfig(p)
+		mcCfg := memctrl.DefaultConfig(p)
 		mcCfg.Geometry.RowsPerModule = cfg.PRAMRowsPerModule
 		mcCfg.Wear = cfg.Wear
 		mcCfg.Obs = cfg.Obs
@@ -302,18 +302,14 @@ func newBuild(cfg Config) (*build, error) {
 		}
 		b.backend = b.intSSD
 	case DRAMLess:
-		pol, perr := cfg.schedulerPolicy()
-		if perr != nil {
-			return nil, perr
-		}
-		if b.sub, err = mkSub(pol); err != nil {
+		if b.sub, err = mkSub(cfg.Policy); err != nil {
 			return nil, err
 		}
 		b.backend = b.sub
 	case DRAMLessFirmware:
 		// Same PRAM subsystem, but every request is dispatched by
 		// traditional SSD firmware and the hardware schedulers are gone.
-		if b.sub, err = mkSub(memctrl.PolicyFor(memctrl.Noop)); err != nil {
+		if b.sub, err = mkSub(memctrl.BareMetal); err != nil {
 			return nil, err
 		}
 		if b.fwWrap, err = ssd.NewFirmwareManaged(cfg.Firmware, b.sub); err != nil {

@@ -169,16 +169,16 @@ func TestHeteroTimeDominatedByStaging(t *testing.T) {
 func TestSchedulerAblationOnDRAMLess(t *testing.T) {
 	// Figure 13 at system level: Final >= Bare-metal on a
 	// write-intensive kernel.
-	run := func(s memctrl.Scheduler) sim.Duration {
+	run := func(p memctrl.Policy) sim.Duration {
 		cfg := testConfig(DRAMLess)
-		cfg.Scheduler = s
+		cfg.Policy = p
 		res, err := Run(cfg, workload.MustByName("doitg"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Total
 	}
-	noop := run(memctrl.Noop)
+	noop := run(memctrl.BareMetal)
 	final := run(memctrl.Final)
 	if final >= noop {
 		t.Errorf("Final (%v) not faster than Bare-metal (%v)", final, noop)
