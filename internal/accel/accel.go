@@ -92,12 +92,11 @@ type Accelerator struct {
 	// accelerator, keeping aggregated fetches coherent.
 	writeGen int64
 
-	// Event-engine totals accumulated over every runAll on this
+	// Interleave steps accumulated over every runAll on this
 	// accelerator, and the summed time job agents spent waiting for a
 	// free PE (RunJobs FIFO queue).
-	events         int64
-	eventsRecycled int64
-	queueWait      sim.Duration
+	events    int64
+	queueWait sim.Duration
 }
 
 // mcuFetchBytes is the server's aggregated request size: "512 bytes per
@@ -284,11 +283,8 @@ type Report struct {
 	Stall   sim.Duration
 	// Events counts interleave steps dispatched for this run; with the
 	// batched front-end one step covers a whole coalesced run, so the
-	// count shrinking is the coalescer working. EventsRecycled is the
-	// engine free-list reuse count where an event engine is involved
-	// (the PE interleave no longer is).
-	Events         int64
-	EventsRecycled int64
+	// count shrinking is the coalescer working.
+	Events int64
 }
 
 // ExecTime returns the wall-clock duration of the run.
@@ -296,7 +292,7 @@ func (r *Report) ExecTime() sim.Duration { return r.End - r.Start }
 
 // CountersInto writes the run's activity into the registry: per-PE busy
 // (compute) and stall time, instruction counts and L1/L2 cache activity,
-// plus aggregate totals and event-engine counts.
+// plus aggregate totals and the interleave step count.
 func (r *Report) CountersInto(c *obs.Counters) {
 	if c == nil {
 		return
@@ -314,12 +310,11 @@ func (r *Report) CountersInto(c *obs.Counters) {
 	c.Add("accel.busy_ps", int64(r.Compute))
 	c.Add("accel.stall_ps", int64(r.Stall))
 	c.Add("sim.events_dispatched", r.Events)
-	c.Add("sim.events_recycled", r.EventsRecycled)
 }
 
 // CountersInto writes the accelerator's lifetime activity into the
 // registry: PSC reboots and transitions, job queue wait, MCU occupancy
-// and event-engine totals across every run on this device.
+// and interleave step totals across every run on this device.
 func (a *Accelerator) CountersInto(c *obs.Counters) {
 	if c == nil {
 		return
@@ -329,7 +324,6 @@ func (a *Accelerator) CountersInto(c *obs.Counters) {
 	c.Add("accel.job_queue_wait_ps", int64(a.queueWait))
 	c.Add("accel.mcu_busy_ps", int64(a.mcu.BusyTime()))
 	c.Add("accel.events_dispatched", a.events)
-	c.Add("accel.events_recycled", a.eventsRecycled)
 }
 
 // TotalIPC returns aggregate retired instructions per core cycle across
@@ -351,7 +345,7 @@ func (r *Report) TotalIPC(clockHz float64) float64 {
 // interleave (and therefore shared-path timing) depend on whether runs
 // were folded. With the tie-break pinned, the batched and unbatched
 // executions are time-identical.
-func runAll(pes []*pe.PE) (processed, recycled int64, err error) {
+func runAll(pes []*pe.PE) (processed int64, err error) {
 	active := make([]*pe.PE, len(pes))
 	copy(active, pes)
 	for len(active) > 0 {
@@ -366,14 +360,14 @@ func runAll(pes []*pe.PE) (processed, recycled int64, err error) {
 		ok, err := core.Step()
 		processed++
 		if err != nil {
-			return processed, recycled, err
+			return processed, err
 		}
 		if !ok {
 			active[best] = active[len(active)-1]
 			active = active[:len(active)-1]
 		}
 	}
-	return processed, recycled, nil
+	return processed, nil
 }
 
 // RunKernel executes kernel k with params p across the agents, starting
@@ -440,13 +434,12 @@ func (a *Accelerator) RunKernel(start sim.Time, k workload.Kernel, p workload.Pa
 		l2s = append(l2s, l2)
 	}
 
-	processed, recycled, err := runAll(pes)
+	processed, err := runAll(pes)
 	if err != nil {
 		return nil, err
 	}
-	rep.Events, rep.EventsRecycled = processed, recycled
+	rep.Events = processed
 	a.events += rep.Events
-	a.eventsRecycled += rep.EventsRecycled
 
 	// Flush caches so results persist in the backend, then drain posted
 	// work.

@@ -107,12 +107,11 @@ func (a *Accelerator) RunJobs(start sim.Time, jobs []Job) ([]*JobResult, error) 
 			}
 		}
 		// Interleave the wave in time order, as RunKernel does.
-		processed, recycled, err := runAll(cores)
+		processed, err := runAll(cores)
 		if err != nil {
 			return nil, err
 		}
 		a.events += processed
-		a.eventsRecycled += recycled
 
 		// Collect per-job reports and release the agents.
 		for w := range wave {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
 
 	"dramless/internal/mem"
 	"dramless/internal/obs"
@@ -154,18 +153,11 @@ type storage struct {
 	sets  [][]line
 }
 
-// storagePools recycles storage per cache shape (size, line, ways), so a
+// freeStorage recycles storage per cache shape (size, line, ways), so a
 // Get always fits exactly.
-var storagePools sync.Map // [3]int -> *sync.Pool
+var freeStorage mem.FreeList[[3]int, *storage]
 
-func storagePool(cfg Config) *sync.Pool {
-	key := [3]int{cfg.SizeBytes, cfg.LineBytes, cfg.Ways}
-	if p, ok := storagePools.Load(key); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := storagePools.LoadOrStore(key, &sync.Pool{})
-	return p.(*sync.Pool)
-}
+func storageKey(cfg Config) [3]int { return [3]int{cfg.SizeBytes, cfg.LineBytes, cfg.Ways} }
 
 var (
 	_ mem.Device     = (*Cache)(nil)
@@ -185,9 +177,8 @@ func New(cfg Config, lower mem.Device) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: nil lower level", cfg.Name)
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	pool := storagePool(cfg)
-	st, _ := pool.Get().(*storage)
-	if st == nil {
+	st, ok := freeStorage.Get(storageKey(cfg))
+	if !ok {
 		st = &storage{
 			slab:  make([]byte, cfg.SizeBytes),
 			lines: make([]line, nsets*cfg.Ways),
@@ -226,7 +217,7 @@ func New(cfg Config, lower mem.Device) (*Cache, error) {
 	return c, nil
 }
 
-// Release returns the cache's line storage to the construction pool. The
+// Release returns the cache's line storage to the package free list. The
 // cache must not be used afterwards; callers that rebuild cache
 // hierarchies per run (the accelerator) call it once stats have been
 // snapshotted.
@@ -234,7 +225,7 @@ func (c *Cache) Release() {
 	if c.store == nil {
 		return
 	}
-	storagePool(c.cfg).Put(c.store)
+	freeStorage.Put(storageKey(c.cfg), c.store)
 	c.store, c.sets, c.slab = nil, nil, nil
 }
 

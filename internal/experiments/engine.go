@@ -28,9 +28,9 @@ type runKey struct {
 // per engine, concurrent requests for the same cell coalesce, and
 // distinct cells run on up to Options.Parallelism goroutines.
 //
-// Parallelism is across simulations only. Each simulation keeps its own
-// single-goroutine sim.Engine, so results - and therefore every rendered
-// table - are byte-identical to a serial run at any worker count.
+// Parallelism is across simulations only. Each simulation runs on one
+// goroutine, so results - and therefore every rendered table - are
+// byte-identical to a serial run at any worker count.
 type Engine struct {
 	o Options
 	r *runner.Runner[runKey, *system.Result]

@@ -12,7 +12,7 @@ import (
 // TestParallelByteIdenticalToSerial is the determinism regression test:
 // the full experiment set rendered serially and with Parallelism=8 must
 // produce byte-identical Table.JSON() documents. Parallelism is across
-// simulations only - each sim.Engine stays single-goroutine - so any
+// simulations only - each simulation stays single-goroutine - so any
 // divergence here means shared state leaked between runs.
 func TestParallelByteIdenticalToSerial(t *testing.T) {
 	serialOpts := quickOpts()

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"dramless/internal/memctrl"
@@ -168,14 +167,4 @@ func (t *Table) Summary() string {
 		fmt.Fprintf(&sb, " %s=%.3g", c, stats.Mean(vs))
 	}
 	return sb.String()
-}
-
-// sortedKeys helps deterministic notes.
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -65,8 +65,7 @@ func TestFig15FreesEveryTemplate(t *testing.T) {
 // dispatched the prefix's events.
 func cellOrigin(name string) bool {
 	return strings.HasPrefix(name, "system.prefix_") ||
-		strings.HasSuffix(name, "events_dispatched") ||
-		strings.HasSuffix(name, "events_recycled")
+		strings.HasSuffix(name, "events_dispatched")
 }
 
 // TestRecapturedCellMatchesColdRun requests a cell whose prefix was

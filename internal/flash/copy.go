@@ -1,52 +1,31 @@
 package flash
 
-import "sync"
+import "dramless/internal/mem"
 
-// framePool recycles page frames across simulation runs, keyed by page
-// size (media profiles differ). Pooled frames hold stale bytes; newFrame
-// zeroes on acquisition, CopyFrom overwrites whole frames and skips the
-// clear.
-var framePool = struct {
-	mu     sync.Mutex
-	bySize map[int][][]byte
-}{bySize: map[int][][]byte{}}
-
-func pooledFrame(pb int) []byte {
-	framePool.mu.Lock()
-	defer framePool.mu.Unlock()
-	list := framePool.bySize[pb]
-	n := len(list)
-	if n == 0 {
-		return nil
-	}
-	f := list[n-1]
-	list[n-1] = nil
-	framePool.bySize[pb] = list[:n-1]
-	return f
-}
+// freeFrames recycles page frames across simulation runs, keyed by
+// page size (media profiles differ). Recycled frames hold stale bytes;
+// newFrame zeroes on acquisition, CopyFrom overwrites whole frames and
+// skips the clear.
+var freeFrames mem.FreeList[int, []byte]
 
 // Release returns every stored and recycled page frame to the package
-// pool and empties the store. Call only once the array's contents are no
-// longer needed.
+// free list and empties the store. Call only once the array's contents
+// are no longer needed.
 func (a *Array) Release() {
 	pb := a.prof.PageBytes
-	framePool.mu.Lock()
-	list := framePool.bySize[pb]
 	for page, f := range a.store {
-		list = append(list, f)
+		freeFrames.Put(pb, f)
 		delete(a.store, page)
 	}
-	list = append(list, a.freePages...)
-	framePool.bySize[pb] = list
-	framePool.mu.Unlock()
+	freeFrames.Put(pb, a.freePages...)
 	a.freePages = a.freePages[:0]
 }
 
 // CopyFrom clones src's timelines, activity stats and page contents into
 // a. Both arrays must share the same profile and page count. Page frames
-// are drawn from a's own slab/recycle pool, so the two arrays never
-// alias storage; the pools themselves are allocation scaffolding, not
-// simulated state, and are left as-is.
+// are drawn from a's own slab and recycle list, so the two arrays never
+// alias storage; those are allocation scaffolding, not simulated state,
+// and are left as-is.
 func (a *Array) CopyFrom(src *Array) {
 	for i := range a.dies {
 		a.dies[i].CopyFrom(src.dies[i])
@@ -67,7 +46,7 @@ func (a *Array) CopyFrom(src *Array) {
 	}
 }
 
-// Release returns the NOR contents' pages to the mem package pool.
+// Release returns the NOR contents' pages to the mem package free list.
 func (n *NOR) Release() { n.store.Release() }
 
 // CopyFrom clones src's bus timeline, traffic totals and contents into n.

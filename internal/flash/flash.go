@@ -197,7 +197,7 @@ func (a *Array) newFrame() []byte {
 }
 
 // rawFrame returns a recycled frame with stale contents, or nil when
-// both the local recycle list and the package pool are empty. Callers
+// both the local recycle list and the package free list are empty. Callers
 // that overwrite the whole frame (CopyFrom) use it directly; newFrame
 // zeroes it.
 func (a *Array) rawFrame() []byte {
@@ -206,7 +206,8 @@ func (a *Array) rawFrame() []byte {
 		a.freePages = a.freePages[:n-1]
 		return f
 	}
-	return pooledFrame(a.prof.PageBytes)
+	f, _ := freeFrames.Get(a.prof.PageBytes)
+	return f
 }
 
 func (a *Array) check(page uint64) error {

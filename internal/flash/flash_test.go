@@ -255,3 +255,49 @@ func TestArrayFunctionalProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCopyFromDrawsReleasedFrames pins the package free list path of
+// checkpoint forking: after one array's Release, CopyFrom into a fresh
+// array (its own recycle list and slab still empty) takes every page
+// frame from the free list instead of carving a new slab.
+func TestCopyFromDrawsReleasedFrames(t *testing.T) {
+	src := smallArray(t)
+	page := bytes.Repeat([]byte{0x5a}, src.Profile().PageBytes)
+	for p := uint64(0); p < 4; p++ {
+		if _, err := src.ProgramPage(0, p*5, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Pre-build every array outside the measured functions (AllocsPerRun
+	// calls each once more to warm up); the donor's Release stocks the
+	// free list with as many frames as src holds.
+	const runs = 20
+	fresh := make([]*Array, 2*(runs+1))
+	for i := range fresh {
+		fresh[i] = smallArray(t)
+	}
+	donor := smallArray(t)
+	donor.CopyFrom(src)
+	donor.Release()
+
+	// A fresh store map allocates on its first insert whatever the
+	// frames' source: measure that alone, then require CopyFrom to add
+	// nothing to it.
+	i := 0
+	storeOnly := testing.AllocsPerRun(runs, func() {
+		dst := fresh[i]
+		i++
+		for pg := range src.store {
+			dst.store[pg] = nil
+		}
+	})
+	allocs := testing.AllocsPerRun(runs, func() {
+		dst := fresh[i]
+		i++
+		dst.CopyFrom(src)
+		dst.Release()
+	})
+	if allocs != storeOnly {
+		t.Fatalf("CopyFrom into a fresh array allocated %.1f objects/run after a Release; want the store map's %.1f", allocs, storeOnly)
+	}
+}

@@ -1,7 +1,5 @@
 package mem
 
-import "sync"
-
 // CopyFrom clones src's bus timeline, traffic totals and page store into
 // f. Both memories must share size/latency/bandwidth configuration.
 func (f *Flat) CopyFrom(src *Flat) {
@@ -13,54 +11,33 @@ func (f *Flat) CopyFrom(src *Flat) {
 	f.bytesOut = src.bytesOut
 }
 
-// Release returns the page store to the package pool. Call only once the
-// memory's contents are no longer needed.
+// Release returns the page store to the package free list. Call only
+// once the memory's contents are no longer needed.
 func (f *Flat) Release() { f.store.Release() }
 
-// pagePool recycles sparse page frames across simulation runs, so each
+// freePages recycles sparse page frames across simulation runs, so each
 // experiment cell's staging traffic does not re-allocate the page
-// population the previous cell just dropped. Pooled pages hold stale
+// population the previous cell just dropped. Recycled pages hold stale
 // bytes; newPage zeroes on acquisition (untouched space must read as
 // zero), CopyFrom overwrites whole pages and skips the clear.
-var pagePool struct {
-	mu   sync.Mutex
-	free [][]byte
-}
-
-func pooledPage() []byte {
-	pagePool.mu.Lock()
-	defer pagePool.mu.Unlock()
-	n := len(pagePool.free)
-	if n == 0 {
-		return nil
-	}
-	p := pagePool.free[n-1]
-	pagePool.free[n-1] = nil
-	pagePool.free = pagePool.free[:n-1]
-	return p
-}
+var freePages FreeList[struct{}, []byte]
 
 // newPage returns a zeroed page frame.
 func newPage() []byte {
-	if p := pooledPage(); p != nil {
+	if p, ok := freePages.Get(struct{}{}); ok {
 		zeroFill(p)
 		return p
 	}
 	return make([]byte, sparsePage)
 }
 
-// Release returns every materialized page to the pool and empties the
-// store.
+// Release returns every materialized page to the free list and empties
+// the store.
 func (s *Sparse) Release() {
-	if len(s.pages) == 0 {
-		return
-	}
-	pagePool.mu.Lock()
 	for pg, p := range s.pages {
-		pagePool.free = append(pagePool.free, p)
+		freePages.Put(struct{}{}, p)
 		delete(s.pages, pg)
 	}
-	pagePool.mu.Unlock()
 }
 
 // CopyFrom replaces s's contents with a deep copy of src's pages, so
@@ -71,8 +48,8 @@ func (s *Sparse) CopyFrom(src *Sparse) {
 		s.pages = make(map[uint64][]byte, len(src.pages))
 	}
 	for pg, data := range src.pages {
-		p := pooledPage()
-		if p == nil {
+		p, ok := freePages.Get(struct{}{})
+		if !ok {
 			p = make([]byte, sparsePage)
 		}
 		copy(p, data)

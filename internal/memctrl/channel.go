@@ -33,11 +33,9 @@ type channel struct {
 	// subsystem for selective erasing).
 	intent func(mod int, rowAddr uint64) (declaredAt sim.Time, ok bool)
 
-	// zeroRow is the all-zero row image every selective-erase pre-RESET
-	// programs; rmwRow is the scratch row the read-modify-write path
-	// merges into. Both are safe to reuse: ProgramRow copies bytes into
-	// the overlay window store and never retains its argument.
-	zeroRow []byte
+	// rmwRow is the scratch row the read-modify-write path merges into.
+	// It is safe to reuse: ProgramRow copies bytes into the overlay
+	// window store and never retains its argument.
 	rmwRow  []byte
 	execBuf [1]byte // the 1-byte RegExec touch, hoisted off writeWave
 
@@ -100,7 +98,6 @@ func newChannel(idx int, cfg Config) (*channel, error) {
 		dataBus:     sim.NewResource(fmt.Sprintf("ch%d.dq", idx)),
 		nextBA:      make([]uint8, cfg.Params.Packages),
 		modLastDone: make([]sim.Time, cfg.Params.Packages),
-		zeroRow:     make([]byte, cfg.Geometry.RowBytes),
 		rmwRow:      make([]byte, cfg.Geometry.RowBytes),
 		seenScratch: make([]int, cfg.Params.Packages),
 		claimed:     make([]uint8, cfg.Params.Packages),
@@ -742,23 +739,6 @@ func (ch *channel) maybePreErase(at sim.Time, mod int, rowAddr uint64) {
 	if err == nil {
 		ch.stats.PreErasedRows++
 	}
-}
-
-// preEraseRow zero-programs one row so a later overwrite needs only SET
-// pulses. Used by the selective-erasing policies for declared
-// write-intent regions.
-func (ch *channel) preEraseRow(at sim.Time, mod int, rowAddr uint64) (done sim.Time, err error) {
-	m := ch.modules[mod]
-	at = sim.Max(ch.gate(at, mod), m.ProgBufFreeAt())
-	done, err = m.ProgramRow(at, ch.windowBA(), rowAddr, ch.zeroRow)
-	if err != nil {
-		return 0, err
-	}
-	ch.stats.PreErasedRows++
-	if !ch.cfg.Policy.Interleave {
-		ch.complete(done, mod)
-	}
-	return done, nil
 }
 
 // drain returns when every module on the channel has finished its posted

@@ -1,72 +1,21 @@
 package memctrl
 
-import "sync"
+import "dramless/internal/mem"
 
-// scratchPool recycles the per-channel batch and wave scratch slices
-// across subsystem lifetimes. Every forked experiment cell builds a
-// fresh Subsystem whose scratch would otherwise re-grow from zero
-// capacity over the run's thousands of batched requests; recycling keeps
-// the grown capacity. Contents are garbage between uses (every consumer
-// resets to [:0] before appending).
-var scratchPool = struct {
-	mu     sync.Mutex
-	rows   [][]rowReq
-	writes [][]writeReq
-	rWaves [][][]*rowReq
-	wWaves [][][]*writeReq
-}{}
-
-func pooledRows() []rowReq {
-	scratchPool.mu.Lock()
-	defer scratchPool.mu.Unlock()
-	n := len(scratchPool.rows)
-	if n == 0 {
-		return nil
-	}
-	s := scratchPool.rows[n-1]
-	scratchPool.rows[n-1] = nil
-	scratchPool.rows = scratchPool.rows[:n-1]
-	return s[:0]
+// chanScratch is one channel's batch and wave scratch. freeScratch
+// recycles it across subsystem lifetimes: every forked experiment cell
+// builds a fresh Subsystem whose scratch would otherwise re-grow from
+// zero capacity over the run's thousands of batched requests;
+// recycling keeps the grown capacity. Contents are garbage between uses
+// (every consumer resets to [:0] before appending).
+type chanScratch struct {
+	rows   []rowReq
+	writes []writeReq
+	rWaves [][]*rowReq
+	wWaves [][]*writeReq
 }
 
-func pooledWrites() []writeReq {
-	scratchPool.mu.Lock()
-	defer scratchPool.mu.Unlock()
-	n := len(scratchPool.writes)
-	if n == 0 {
-		return nil
-	}
-	s := scratchPool.writes[n-1]
-	scratchPool.writes[n-1] = nil
-	scratchPool.writes = scratchPool.writes[:n-1]
-	return s[:0]
-}
-
-func pooledRWaves() [][]*rowReq {
-	scratchPool.mu.Lock()
-	defer scratchPool.mu.Unlock()
-	n := len(scratchPool.rWaves)
-	if n == 0 {
-		return nil
-	}
-	s := scratchPool.rWaves[n-1]
-	scratchPool.rWaves[n-1] = nil
-	scratchPool.rWaves = scratchPool.rWaves[:n-1]
-	return s
-}
-
-func pooledWWaves() [][]*writeReq {
-	scratchPool.mu.Lock()
-	defer scratchPool.mu.Unlock()
-	n := len(scratchPool.wWaves)
-	if n == 0 {
-		return nil
-	}
-	s := scratchPool.wWaves[n-1]
-	scratchPool.wWaves[n-1] = nil
-	scratchPool.wWaves = scratchPool.wWaves[:n-1]
-	return s
-}
+var freeScratch mem.FreeList[struct{}, chanScratch]
 
 // CopyFrom clones src's complete subsystem state into s: boot status,
 // declared write-intent ranges, wear-leveler position, and every
@@ -86,32 +35,15 @@ func (s *Subsystem) CopyFrom(src *Subsystem) {
 }
 
 // Release returns every module's row segments to the package-level
-// segment pool and the batch/wave scratch to the scratch pool. Call only
+// segment free list and the batch/wave scratch to freeScratch. Call only
 // once the run's results have been collected.
 func (s *Subsystem) Release() {
-	scratchPool.mu.Lock()
-	for c := range s.batches {
-		if s.batches[c] != nil {
-			scratchPool.rows = append(scratchPool.rows, s.batches[c])
-			s.batches[c] = nil
+	for c, ch := range s.channels {
+		sc := chanScratch{s.batches[c], s.wBatches[c], ch.rWaves, ch.wWaves}
+		if sc.rows != nil || sc.writes != nil || sc.rWaves != nil || sc.wWaves != nil {
+			freeScratch.Put(struct{}{}, sc)
 		}
-		if s.wBatches[c] != nil {
-			scratchPool.writes = append(scratchPool.writes, s.wBatches[c])
-			s.wBatches[c] = nil
-		}
-	}
-	for _, ch := range s.channels {
-		if ch.rWaves != nil {
-			scratchPool.rWaves = append(scratchPool.rWaves, ch.rWaves)
-			ch.rWaves = nil
-		}
-		if ch.wWaves != nil {
-			scratchPool.wWaves = append(scratchPool.wWaves, ch.wWaves)
-			ch.wWaves = nil
-		}
-	}
-	scratchPool.mu.Unlock()
-	for _, ch := range s.channels {
+		s.batches[c], s.wBatches[c], ch.rWaves, ch.wWaves = nil, nil, nil, nil
 		for _, m := range ch.modules {
 			m.Release()
 		}

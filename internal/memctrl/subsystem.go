@@ -115,13 +115,10 @@ func New(cfg Config) (*Subsystem, error) {
 	s.size = usableRows * s.rowBytes * s.pkgs * s.chans
 	s.batches = make([][]rowReq, cfg.Params.Channels)
 	s.wBatches = make([][]writeReq, cfg.Params.Channels)
-	for c := range s.batches {
-		s.batches[c] = pooledRows()
-		s.wBatches[c] = pooledWrites()
-	}
-	for _, ch := range s.channels {
-		ch.rWaves = pooledRWaves()
-		ch.wWaves = pooledWWaves()
+	for c, ch := range s.channels {
+		sc, _ := freeScratch.Get(struct{}{})
+		s.batches[c], s.wBatches[c] = sc.rows[:0], sc.writes[:0]
+		ch.rWaves, ch.wWaves = sc.rWaves, sc.wWaves
 	}
 	s.wearRow = make([]byte, cfg.Geometry.RowBytes)
 	s.initWear()

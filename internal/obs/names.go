@@ -109,8 +109,8 @@ func init() {
 		"accel.peN.l2.writebacks", "accel.peN.l2.bytes_below", "accel.peN.l2.hit_rate",
 		"accel.instructions", "accel.busy_ps", "accel.stall_ps",
 		"accel.psc.boots", "accel.psc.transitions", "accel.job_queue_wait_ps",
-		"accel.mcu_busy_ps", "accel.events_dispatched", "accel.events_recycled",
-		"sim.events_dispatched", "sim.events_recycled",
+		"accel.mcu_busy_ps", "accel.events_dispatched",
+		"sim.events_dispatched",
 		"pcie.accel.dmas", "pcie.accel.bytes", "pcie.accel.busy_ps",
 		"pcie.ssd.dmas", "pcie.ssd.bytes", "pcie.ssd.busy_ps",
 		"dram.reads", "dram.writes", "dram.bytes_read", "dram.bytes_written",

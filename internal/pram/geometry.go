@@ -209,11 +209,18 @@ type rowSeg struct {
 	lastRead []sim.Time        // per row: last array activation
 }
 
+// newSeg returns a pristine segment, recycled when the free list holds
+// one for g.
 func newSeg(g Geometry) *rowSeg {
-	if s := pooledSeg(g); s != nil {
+	if s, ok := freeSegs.Get(g); ok {
 		s.zero()
 		return s
 	}
+	return allocSeg(g)
+}
+
+// allocSeg allocates a fresh, pristine segment.
+func allocSeg(g Geometry) *rowSeg {
 	return &rowSeg{
 		data:     make([]byte, segRows*g.RowBytes),
 		state:    make([]lpddr.CellState, segRows*g.WordsPerRow()),

@@ -117,15 +117,6 @@ func NewModule(geo Geometry, par lpddr.Params) (*Module, error) {
 	return m, nil
 }
 
-// MustNewModule is NewModule for known-good configurations.
-func MustNewModule(geo Geometry, par lpddr.Params) *Module {
-	m, err := NewModule(geo, par)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // seg returns the segment holding rowAddr plus the row's index within
 // it, materializing the segment on first touch.
 func (m *Module) seg(rowAddr uint64) (*rowSeg, int) {
@@ -241,12 +232,6 @@ func (m *Module) RDBHit(rowAddr uint64) (ba uint8, ok bool) {
 	}
 	return 0, false
 }
-
-// RDBValid reports whether buffer pair ba holds a sensed row.
-func (m *Module) RDBValid(ba uint8) bool { return int(ba) < len(m.rdbValid) && m.rdbValid[ba] }
-
-// RDBRow returns the row held by buffer pair ba (valid only if RDBValid).
-func (m *Module) RDBRow(ba uint8) uint64 { return m.rdbRow[ba] }
 
 // observe routes a command through the protocol tracker.
 func (m *Module) observe(c lpddr.Command) error {
@@ -693,9 +678,6 @@ func (m *Module) PeekRow(rowAddr uint64) []byte {
 
 // PartitionFreeAt returns when partition p finishes its queued array work.
 func (m *Module) PartitionFreeAt(p int) sim.Time { return m.partitions[p].FreeAt() }
-
-// BusFreeAt returns when the DQ bus next becomes free.
-func (m *Module) BusFreeAt() sim.Time { return m.bus.FreeAt() }
 
 // BusBusyTime returns cumulative DQ bus occupancy (for utilization and
 // the Figure 12 overlap measurements).

@@ -76,11 +76,6 @@ func newOverlay(base uint64) *overlay {
 	return o
 }
 
-// contains reports whether module byte address a falls inside the window.
-func (o *overlay) contains(a uint64) bool {
-	return a >= o.base && a < o.base+WindowSize
-}
-
 // containsRow reports whether any byte of the given row falls inside the
 // window; the device checks this during tRCD to route the access to the
 // register sets instead of the array.

@@ -97,9 +97,6 @@ func NewPool(name string, k int) *Pool {
 // Name returns the diagnostic name.
 func (p *Pool) Name() string { return p.name }
 
-// Units returns the number of servers in the pool.
-func (p *Pool) Units() int { return len(p.free) }
-
 // Acquire reserves one unit for dur starting at or after earliest, using
 // the unit that frees soonest, and returns the actual start time.
 func (p *Pool) Acquire(earliest Time, dur Duration) (start Time) {
@@ -182,9 +179,6 @@ func (p *Pipe) Name() string { return p.res.Name() }
 
 // Latency returns the fixed per-transfer latency.
 func (p *Pipe) Latency() Duration { return p.latency }
-
-// Bandwidth returns the configured bandwidth in bytes per second.
-func (p *Pipe) Bandwidth() float64 { return p.bytesPerSec }
 
 // BytesMoved returns the total payload moved through the pipe.
 func (p *Pipe) BytesMoved() int64 { return p.moved }

@@ -1,44 +1,23 @@
 package ssd
 
-import "sync"
+import "dramless/internal/mem"
 
-// entPool recycles buffer entries (struct + page frame) across
-// simulation runs, keyed by page size. Pooled entries hold stale data;
+// freeEntries recycles buffer entries (struct + page frame) across
+// simulation runs, keyed by page size. Recycled entries hold stale data;
 // newEntry's callers either fill the whole page or zero it, exactly as
 // with locally recycled entries.
-var entPool = struct {
-	mu     sync.Mutex
-	bySize map[int][]*bufEntry
-}{bySize: map[int][]*bufEntry{}}
-
-func pooledEntry(pb int) *bufEntry {
-	entPool.mu.Lock()
-	defer entPool.mu.Unlock()
-	list := entPool.bySize[pb]
-	n := len(list)
-	if n == 0 {
-		return nil
-	}
-	e := list[n-1]
-	list[n-1] = nil
-	entPool.bySize[pb] = list[:n-1]
-	return e
-}
+var freeEntries mem.FreeList[int, *bufEntry]
 
 // Release returns the buffer's entries and the array's page frames to
-// their package pools. Call only once the device's contents are no
+// their package free lists. Call only once the device's contents are no
 // longer needed.
 func (s *SSD) Release() {
 	pb := s.cfg.Media.PageBytes
-	entPool.mu.Lock()
-	list := entPool.bySize[pb]
 	for lpn, e := range s.buf {
-		list = append(list, e)
+		freeEntries.Put(pb, e)
 		delete(s.buf, lpn)
 	}
-	list = append(list, s.freeEnts...)
-	entPool.bySize[pb] = list
-	entPool.mu.Unlock()
+	freeEntries.Put(pb, s.freeEnts...)
 	s.freeEnts = s.freeEnts[:0]
 	s.arr.Release()
 }
@@ -47,7 +26,7 @@ func (s *SSD) Release() {
 // array state into s. Both SSDs must have been built from the same
 // Config (histogram handles resolve at construction against each side's
 // own observer, so they are deliberately not copied). Buffer entries are
-// drawn from s's own slab pool, so the two devices never alias pages.
+// drawn through s.newEntry, so the two devices never alias pages.
 func (s *SSD) CopyFrom(src *SSD) {
 	for lpn, e := range s.buf {
 		s.recycle(e)
@@ -62,7 +41,6 @@ func (s *SSD) CopyFrom(src *SSD) {
 	}
 	s.tick = src.tick
 	s.dramPipe.CopyFrom(src.dramPipe)
-	s.dramBusy = src.dramBusy
 	s.stats = src.stats
 	s.arr.CopyFrom(src.arr)
 	s.ftl.CopyFrom(src.ftl)

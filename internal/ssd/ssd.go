@@ -111,7 +111,6 @@ type SSD struct {
 	bufCap   int
 	tick     int64
 	dramPipe *sim.Pipe
-	dramBusy sim.Duration // DRAM buffer occupancy (energy accounting)
 
 	// Buffer entries and their page data come bufSlabPages at a time from
 	// slabs and are recycled on eviction, so the buffer churns between the
@@ -226,9 +225,6 @@ func (s *SSD) CountersInto(c *obs.Counters, prefix string) {
 // FirmwareBusy returns cumulative firmware-core time (energy model).
 func (s *SSD) FirmwareBusy() sim.Duration { return s.fw.BusyTime() }
 
-// DRAMBusy returns cumulative internal-DRAM occupancy (energy model).
-func (s *SSD) DRAMBusy() sim.Duration { return s.dramBusy }
-
 // DRAMBytes returns payload bytes moved through the internal DRAM.
 func (s *SSD) DRAMBytes() int64 { return s.dramPipe.BytesMoved() }
 
@@ -238,7 +234,6 @@ func (s *SSD) Config() Config { return s.cfg }
 // dramAccess charges one buffer access of n bytes through the internal
 // DRAM's bandwidth pipe and returns its completion.
 func (s *SSD) dramAccess(at sim.Time, n int) sim.Time {
-	s.dramBusy += s.dramPipe.TransferTime(int64(n))
 	return s.dramPipe.Transfer(at, int64(n))
 }
 
@@ -271,7 +266,7 @@ func (s *SSD) newEntry() *bufEntry {
 		return e
 	}
 	pb := s.cfg.Media.PageBytes
-	if e := pooledEntry(pb); e != nil {
+	if e, ok := freeEntries.Get(pb); ok {
 		e.dirty = false
 		return e
 	}

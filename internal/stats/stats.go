@@ -1,7 +1,7 @@
 // Package stats provides lightweight metric containers used by the
-// dramless models: counters, scalar summaries, time-series samplers for
-// the paper's IPC/power plots, and small formatting helpers for the
-// experiment harness.
+// dramless models: time-series samplers for the paper's IPC/power plots,
+// named breakdowns, and small aggregation helpers for the experiment
+// harness.
 package stats
 
 import (
@@ -12,64 +12,6 @@ import (
 
 	"dramless/internal/sim"
 )
-
-// Summary accumulates scalar observations and reports the usual moments.
-type Summary struct {
-	n        int64
-	sum, sq  float64
-	min, max float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n++
-	s.sum += v
-	s.sq += v * v
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Mean returns the average (0 with no observations).
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest observation (0 with no observations).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 with no observations).
-func (s *Summary) Max() float64 { return s.max }
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sq/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// String formats the summary compactly.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g min=%.4g max=%.4g sd=%.4g", s.n, s.Mean(), s.min, s.max, s.StdDev())
-}
 
 // Series is a fixed-interval time series used for the paper's IPC and
 // power plots (Figures 18-21). Values land in the bucket covering their

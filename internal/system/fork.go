@@ -110,10 +110,11 @@ func CapturePrefix(pr Prefix) (*Checkpoint, error) {
 // Prefix returns the key cp was captured for.
 func (cp *Checkpoint) Prefix() Prefix { return cp.pr }
 
-// Release returns the checkpoint's frozen template storage (row segments,
-// flash page frames, SSD buffer entries, sparse pages) to the package
-// pools. The checkpoint is unusable afterwards: call only once no further
-// forks will be taken from it. Safe on nil and idempotent.
+// Release returns the checkpoint's frozen template storage (row
+// segments, flash page frames, SSD buffer entries, sparse pages) to the
+// package free lists. The checkpoint is unusable afterwards: call only
+// once no further forks will be taken from it. Safe on nil and
+// idempotent.
 func (cp *Checkpoint) Release() {
 	if cp == nil || cp.tmpl == nil {
 		return
@@ -127,9 +128,14 @@ func (cp *Checkpoint) Release() {
 // picosecond-identical to Run(cfg, k) — phase walls, energy, counters,
 // histograms and series all match — provided PrefixOf(cfg, k) equals
 // cp.Prefix(). Runs that trace spans fall back to a cold Run (the prefix
-// spans cannot be replayed into a foreign tracer).
+// spans cannot be replayed into a foreign tracer), as do runs recording
+// series over a window other than the capture's (the prefix samples
+// cannot be re-bucketed).
 func RunForked(cfg Config, k workload.Kernel, cp *Checkpoint) (*Result, error) {
 	if cp == nil || cp.tmpl == nil || cfg.Obs.Tracer().Enabled() {
+		return Run(cfg, k)
+	}
+	if ss := cfg.Obs.Series(); ss != nil && ss.Window() != cp.series.Window() {
 		return Run(cfg, k)
 	}
 	b, err := newBuild(cfg)

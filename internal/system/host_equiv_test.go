@@ -66,8 +66,8 @@ func compareRuns(t *testing.T, what string, got, want *Result, gx, wx runExports
 	gr, wr := *got.Report, *want.Report
 	ge, we := got.Counters.Entries(), want.Counters.Entries()
 	if ignoreEvents {
-		gr.Events, gr.EventsRecycled = 0, 0
-		wr.Events, wr.EventsRecycled = 0, 0
+		gr.Events = 0
+		wr.Events = 0
 		ge, we = forkFilteredEntries(&got.Counters), forkFilteredEntries(&want.Counters)
 	}
 	if !reflect.DeepEqual(gr, wr) {
@@ -106,7 +106,7 @@ func compareRuns(t *testing.T, what string, got, want *Result, gx, wx runExports
 // simulation always runs on one goroutine, and the host's only
 // parallelism is running independent simulations side by side (the
 // experiment engine's worker pool). Those share package state: the
-// staging buffer pool, the populate pattern and the storage pools. So
+// staging buffer and storage free lists and the populate pattern. So
 // for every Table I organization x one kernel per workload class, each
 // of several concurrent runs of a cell must reproduce the same cell run
 // alone, including the engine event counts, the whole counter registry

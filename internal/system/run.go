@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"dramless/internal/accel"
@@ -103,54 +104,51 @@ type build struct {
 	zeros   []byte
 }
 
-// bufPool recycles staging buffers across runs. Zeros buffers are never
-// written through, so pooled entries keep the all-zero invariant; scratch
-// buffers hold discarded read bytes and may return dirty.
-var bufPool = struct {
-	mu      sync.Mutex
-	scratch [][]byte
-	zeros   [][]byte
-}{}
+// bufKey names a recycled staging buffer: its use and its power-of-two
+// size class (the buffer is 1<<class bytes long).
+type bufKey struct {
+	zeros bool
+	class int
+}
 
-// pooledBuf pops a pooled buffer of at least n bytes, or nil.
-func pooledBuf(list *[][]byte, n int) []byte {
-	bufPool.mu.Lock()
-	defer bufPool.mu.Unlock()
-	for i, buf := range *list {
-		if len(buf) >= n {
-			last := len(*list) - 1
-			(*list)[i] = (*list)[last]
-			(*list)[last] = nil
-			*list = (*list)[:last]
-			return buf
-		}
+func bufKeyOf(zeros bool, n int) bufKey { return bufKey{zeros, bits.Len(uint(n - 1))} }
+
+// freeBufs recycles staging buffers across runs. Zeros buffers are never
+// written through, so recycled ones keep the all-zero invariant; scratch
+// buffers hold discarded read bytes and may return dirty. Rounding sizes
+// up to a power of two lets one recycled buffer serve every request of
+// its class.
+var freeBufs mem.FreeList[bufKey, []byte]
+
+// recycleBuf returns *buf, if any, to the free list and clears it.
+func recycleBuf(buf *[]byte, zeros bool) {
+	if *buf != nil {
+		freeBufs.Put(bufKeyOf(zeros, len(*buf)), *buf)
+		*buf = nil
 	}
-	return nil
+}
+
+// growBuf returns (*buf)[:n], first swapping *buf for a recycled or new
+// buffer of n's size class when it is too short; the outgrown buffer
+// goes back to the free list.
+func growBuf(buf *[]byte, zeros bool, n int) []byte {
+	if len(*buf) < n {
+		recycleBuf(buf, zeros)
+		k := bufKeyOf(zeros, n)
+		nb, ok := freeBufs.Get(k)
+		if !ok {
+			nb = make([]byte, 1<<k.class)
+		}
+		*buf = nb
+	}
+	return (*buf)[:n]
 }
 
 // stagingBuf returns a reusable n-byte read destination.
-func (b *build) stagingBuf(n int) []byte {
-	if len(b.scratch) < n {
-		if buf := pooledBuf(&bufPool.scratch, n); buf != nil {
-			b.scratch = buf
-		} else {
-			b.scratch = make([]byte, n)
-		}
-	}
-	return b.scratch[:n]
-}
+func (b *build) stagingBuf(n int) []byte { return growBuf(&b.scratch, false, n) }
 
 // zeroBuf returns n zero bytes for synthetic staging writes.
-func (b *build) zeroBuf(n int) []byte {
-	if len(b.zeros) < n {
-		if buf := pooledBuf(&bufPool.zeros, n); buf != nil {
-			b.zeros = buf
-		} else {
-			b.zeros = make([]byte, n)
-		}
-	}
-	return b.zeros[:n]
-}
+func (b *build) zeroBuf(n int) []byte { return growBuf(&b.zeros, true, n) }
 
 // stageRead streams total bytes out of dev at addr in step-sized reads
 // through the batched read path (buf must hold at least step bytes,
@@ -546,22 +544,15 @@ func (b *build) finish(k workload.Kernel, p workload.Params, runStart, loadEnd s
 	return res, nil
 }
 
-// release returns pooled storage (PRAM row segments, SSD buffer entries,
-// flash page frames, sparse memory pages, staging buffers) once the
-// run's results are collected. Checkpoint template builds are released
-// only through Checkpoint.Release, after the last fork: forks keep
-// reading their state for the checkpoint's lifetime.
+// release returns the run's storage (PRAM row segments, SSD buffer
+// entries, flash page frames, sparse memory pages, staging buffers) to
+// the package free lists once the run's results are collected.
+// Checkpoint template builds are released only through
+// Checkpoint.Release, after the last fork: forks keep reading their
+// state for the checkpoint's lifetime.
 func (b *build) release() {
-	bufPool.mu.Lock()
-	if b.scratch != nil {
-		bufPool.scratch = append(bufPool.scratch, b.scratch)
-		b.scratch = nil
-	}
-	if b.zeros != nil {
-		bufPool.zeros = append(bufPool.zeros, b.zeros)
-		b.zeros = nil
-	}
-	bufPool.mu.Unlock()
+	recycleBuf(&b.scratch, false)
+	recycleBuf(&b.zeros, true)
 	if b.sub != nil {
 		b.sub.Release()
 	}
