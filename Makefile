@@ -54,12 +54,18 @@ bench:
 # of one commit at 5x, so they run a fixed 2000x. -count 5 lets
 # benchjson keep the fastest repetition (host load spikes only ever
 # slow a deterministic benchmark, so min-of-means is the noise-robust
-# estimator where a single shot flapped ±20%).
+# estimator where a single shot flapped ±20%). The third run is the
+# per-layer microbenchmarks of the PRAM module (one overlay-window
+# program flow, one three-phase row read) and the memctrl subsystem
+# (full- and partial-row Write, one request-sized ReadInto), at a fixed
+# 100000x so both sides of a comparison simulate the same requests.
 BENCH_SUITE = { \
 	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkFig(0|1[3-9]|2))' \
 		-benchmem -benchtime 5x -count 5 . ; \
 	$(GO) test -run '^$$' -bench '^(BenchmarkFig12|BenchmarkTable|BenchmarkSec5)' \
-		-benchmem -benchtime 2000x -count 5 . ; }
+		-benchmem -benchtime 2000x -count 5 . ; \
+	$(GO) test -run '^$$' -bench '^(BenchmarkProgramRow|BenchmarkReadRow|BenchmarkSubsystem)' \
+		-benchmem -benchtime 100000x -count 5 ./internal/pram/ ./internal/memctrl/ ; }
 
 # Benchmark trajectory: every figure/table benchmark, recorded as
 # BENCH_suite.json (ns/op + B/op + allocs/op per benchmark). Commit the
@@ -120,15 +126,19 @@ blame-smoke:
 # CPU + heap profiles of the Figure 15 sweep (the allocation-heaviest
 # experiment) into ./prof/, at the 128 KiB fast scale and at the 2 MiB
 # -full scale, whose hot spots differ (L2 no longer holds the working
-# set); inspect with `go tool pprof prof/fig15-full.cpu`. Profiles are
-# scratch output (gitignored), regenerated on demand here.
+# set), plus a CPU profile of the memctrl microbenchmarks (the PRAM
+# controller's write and read paths alone); inspect with
+# `go tool pprof prof/fig15-full.cpu`. Profiles are scratch output
+# (gitignored), regenerated on demand here.
 profile:
 	mkdir -p prof
 	$(GO) run ./cmd/dramless experiments \
 		-cpuprofile prof/fig15.cpu -memprofile prof/fig15.mem fig15 > /dev/null
 	$(GO) run ./cmd/dramless experiments -full \
 		-cpuprofile prof/fig15-full.cpu -memprofile prof/fig15-full.mem fig15 > /dev/null
-	@echo "profiles: prof/fig15.cpu prof/fig15.mem prof/fig15-full.cpu prof/fig15-full.mem"
+	$(GO) test -run '^$$' -bench '^BenchmarkSubsystem' -benchtime 100000x \
+		-cpuprofile prof/memctrl.cpu -o prof/memctrl.test ./internal/memctrl/ > /dev/null
+	@echo "profiles: prof/fig15.cpu prof/fig15.mem prof/fig15-full.cpu prof/fig15-full.mem prof/memctrl.cpu"
 
 # Observability demo: one DRAM-less end-to-end run with hardware
 # counters on stdout and a simulated-time timeline in trace.json -

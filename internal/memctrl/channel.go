@@ -39,6 +39,11 @@ type channel struct {
 	rmwRow  []byte
 	execBuf [1]byte // the 1-byte RegExec touch, hoisted off writeWave
 
+	// oneReq is readRowInto's request slot. readBatch's wave tables keep
+	// pointers into the batch they are given, so a request built on
+	// readRowInto's stack would escape to the heap on every call.
+	oneReq [1]rowReq
+
 	// Batch scratch, reused across calls (the channel is single-threaded
 	// per simulation): per-module wave counters, the wave tables of the
 	// read and write batch paths, and readWave's per-module buffer-pair
@@ -277,11 +282,11 @@ type rowReq struct {
 // readRowInto reads len(dst) bytes at column col of module-local row
 // rowAddr on module mod into dst, starting no earlier than at.
 func (ch *channel) readRowInto(at sim.Time, mod int, rowAddr uint64, col int, dst []byte) (done sim.Time, err error) {
-	reqs := [1]rowReq{{mod: mod, row: rowAddr, col: col, dst: dst}}
-	if err := ch.readBatch(at, reqs[:]); err != nil {
+	ch.oneReq[0] = rowReq{mod: mod, row: rowAddr, col: col, dst: dst}
+	if err := ch.readBatch(at, ch.oneReq[:]); err != nil {
 		return 0, err
 	}
-	return reqs[0].done, nil
+	return ch.oneReq[0].done, nil
 }
 
 // readBatch processes a set of row reads. With an interleaving scheduler

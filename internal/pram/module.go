@@ -329,7 +329,6 @@ func (m *Module) ReadBurst(at sim.Time, ba uint8, col int, n int) (data []byte, 
 // bytes — the subsystem's allocation-free burst path.
 func (m *Module) ReadBurstInto(at sim.Time, ba uint8, col int, dst []byte) (done sim.Time, err error) {
 	n := len(dst)
-	data := dst
 	if err := m.observe(lpddr.Command{Op: lpddr.OpRead, BA: ba, Addr: uint32(col)}); err != nil {
 		return 0, err
 	}
@@ -340,21 +339,12 @@ func (m *Module) ReadBurstInto(at sim.Time, ba uint8, col int, dst []byte) (done
 		return 0, fmt.Errorf("pram: read burst [%d,%d) outside %d-byte row", col, col+n, m.geo.RowBytes)
 	}
 	if m.rdbWindow[ba] {
-		base := m.rdbRow[ba]*uint64(m.geo.RowBytes) - m.ow.base
-		for i := 0; i < n; i++ {
-			off := base + uint64(col+i)
-			if off == RegStatus {
-				data[i] = m.statusAt(at)
-				continue
-			}
-			b, err := m.ow.read(off)
-			if err != nil {
-				return 0, err
-			}
-			data[i] = b
+		off := m.rdbRow[ba]*uint64(m.geo.RowBytes) - m.ow.base + uint64(col)
+		if err := m.ow.read(off, dst, m.statusAt(at)); err != nil {
+			return 0, err
 		}
 	} else {
-		copy(data, m.rdbData[ba][col:col+n])
+		copy(dst, m.rdbData[ba][col:col+n])
 	}
 	busStart := m.bus.Acquire(at+m.par.ReadPreamble(), m.par.TBurst())
 	m.stats.ReadBursts++
@@ -383,17 +373,10 @@ func (m *Module) WriteBurst(at sim.Time, ba uint8, col int, data []byte) (done s
 	busStart := m.bus.Acquire(at+m.par.WritePreamble(), m.par.TBurst())
 	done = busStart + m.par.TBurst() + m.par.TWRA
 
-	base := m.rdbRow[ba]*uint64(m.geo.RowBytes) - m.ow.base
-	execTriggered := false
-	for i, b := range data {
-		off := base + uint64(col+i)
-		if off == RegExec {
-			execTriggered = true
-			continue
-		}
-		if err := m.ow.write(off, b); err != nil {
-			return 0, err
-		}
+	off := m.rdbRow[ba]*uint64(m.geo.RowBytes) - m.ow.base + uint64(col)
+	execTriggered, err := m.ow.write(off, data)
+	if err != nil {
+		return 0, err
 	}
 	m.stats.WriteBursts++
 	m.stats.BytesWritten += int64(len(data))

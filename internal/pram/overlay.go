@@ -83,54 +83,97 @@ func (o *overlay) containsRow(rowBase uint64, rowBytes int) bool {
 	return rowBase+uint64(rowBytes) > o.base && rowBase < o.base+WindowSize
 }
 
-// write stores one byte at window offset off, with register side effects
-// handled by the module (execute triggers are detected there).
-func (o *overlay) write(off uint64, b byte) error {
-	switch {
-	case off < 128:
-		return fmt.Errorf("pram: overlay meta-information at +%#x is read-only", off)
-	case off == RegCode:
-		o.code = b
-	case off >= RegAddr && off < RegAddr+4:
-		sh := (off - RegAddr) * 8
-		o.addr = o.addr&^(0xFF<<sh) | uint32(b)<<sh
-	case off >= RegMulti && off < RegMulti+2:
-		sh := (off - RegMulti) * 8
-		o.multi = o.multi&^(0xFF<<sh) | uint16(b)<<sh
-	case off == RegExec:
-		// Value ignored; the act of writing starts the operation. The
-		// module intercepts this offset before calling write.
-	case off >= ProgBufOffset && off < ProgBufOffset+ProgBufSize:
-		o.progBuf[off-ProgBufOffset] = b
-	case off > RegCode && off < RegExec:
-		// Reserved space between the register fields: real devices
-		// ignore writes there, which lets a controller update the whole
-		// register row with one burst.
-	default:
-		return fmt.Errorf("pram: write to unmapped overlay offset +%#x", off)
+// write applies data at window offset off field by field, in offset
+// order: program-buffer spans are one copy, the code/address/multi
+// registers take the bytes they cover (a burst may update part of a
+// multi-byte register), reserved gaps ignore their bytes, and a covered
+// RegExec is reported back (its value is ignored; the act of writing
+// starts the operation, which the module runs). The first read-only or
+// unmapped byte stops the burst with an error, leaving the bytes before
+// it applied.
+func (o *overlay) write(off uint64, data []byte) (exec bool, err error) {
+	for len(data) > 0 {
+		var n int
+		switch {
+		case off < 128:
+			return exec, fmt.Errorf("pram: overlay meta-information at +%#x is read-only", off)
+		case off == RegCode:
+			o.code, n = data[0], 1
+		case off >= RegAddr && off < RegAddr+4:
+			var b [4]byte
+			binary.LittleEndian.PutUint32(b[:], o.addr)
+			n = copy(b[off-RegAddr:], data)
+			o.addr = binary.LittleEndian.Uint32(b[:])
+		case off >= RegMulti && off < RegMulti+2:
+			var b [2]byte
+			binary.LittleEndian.PutUint16(b[:], o.multi)
+			n = copy(b[off-RegMulti:], data)
+			o.multi = binary.LittleEndian.Uint16(b[:])
+		case off == RegExec:
+			exec, n = true, 1
+		case off >= ProgBufOffset && off < ProgBufOffset+ProgBufSize:
+			n = copy(o.progBuf[off-ProgBufOffset:], data)
+		case off > RegCode && off < RegExec:
+			// Reserved space between the register fields: real devices
+			// ignore writes there, which lets a controller update the
+			// whole register row with one burst.
+			n = min(len(data), int(reservedEnd(off)-off))
+		default:
+			return exec, fmt.Errorf("pram: write to unmapped overlay offset +%#x", off)
+		}
+		data = data[n:]
+		off += uint64(n)
+	}
+	return exec, nil
+}
+
+// read fills dst from window offset off field by field, in offset order.
+// status is the value the status register reads back (it depends on
+// simulated time, which the module knows). The first unmapped byte
+// stops the burst with an error, leaving the bytes before it filled.
+func (o *overlay) read(off uint64, dst []byte, status byte) error {
+	for len(dst) > 0 {
+		var n int
+		switch {
+		case off < 128:
+			n = copy(dst, o.meta[off:])
+		case off == RegCode:
+			dst[0], n = o.code, 1
+		case off >= RegAddr && off < RegAddr+4:
+			var b [4]byte
+			binary.LittleEndian.PutUint32(b[:], o.addr)
+			n = copy(dst, b[off-RegAddr:])
+		case off >= RegMulti && off < RegMulti+2:
+			var b [2]byte
+			binary.LittleEndian.PutUint16(b[:], o.multi)
+			n = copy(dst, b[off-RegMulti:])
+		case off == RegExec:
+			dst[0], n = 0, 1
+		case off == RegStatus:
+			dst[0], n = status, 1
+		case off >= ProgBufOffset && off < ProgBufOffset+ProgBufSize:
+			n = copy(dst, o.progBuf[off-ProgBufOffset:])
+		case off > RegCode && off < RegExec:
+			n = min(len(dst), int(reservedEnd(off)-off))
+			clear(dst[:n]) // reserved register space reads as zero
+		default:
+			return fmt.Errorf("pram: read from unmapped overlay offset +%#x", off)
+		}
+		dst = dst[n:]
+		off += uint64(n)
 	}
 	return nil
 }
 
-// read returns the byte at window offset off. Status is synthesized by
-// the module (it depends on simulated time) and must not reach here.
-func (o *overlay) read(off uint64) (byte, error) {
+// reservedEnd returns the end of the reserved gap holding off, a
+// register-region offset outside every register field.
+func reservedEnd(off uint64) uint64 {
 	switch {
-	case off < 128:
-		return o.meta[off], nil
-	case off == RegCode:
-		return o.code, nil
-	case off >= RegAddr && off < RegAddr+4:
-		return byte(o.addr >> ((off - RegAddr) * 8)), nil
-	case off >= RegMulti && off < RegMulti+2:
-		return byte(o.multi >> ((off - RegMulti) * 8)), nil
-	case off == RegExec:
-		return 0, nil
-	case off >= ProgBufOffset && off < ProgBufOffset+ProgBufSize:
-		return o.progBuf[off-ProgBufOffset], nil
-	case off > RegCode && off < RegExec:
-		return 0, nil // reserved register space reads as zero
+	case off < RegAddr:
+		return RegAddr
+	case off < RegMulti:
+		return RegMulti
 	default:
-		return 0, fmt.Errorf("pram: read from unmapped overlay offset +%#x", off)
+		return RegExec
 	}
 }

@@ -21,7 +21,8 @@ type Vec struct {
 	dev  mem.Device
 	base uint64
 	n    int
-	word [8]byte // Get's load destination, reused across calls
+	word [8]byte // Get's and Set's element buffer, reused across calls
+	buf  []byte  // Fill's and Snapshot's bulk buffer, made on first use
 }
 
 // NewVec views n float64s at base.
@@ -55,9 +56,8 @@ func (v *Vec) Set(at sim.Time, i int, x float64) (sim.Time, error) {
 	if i < 0 || i >= v.n {
 		return 0, fmt.Errorf("workload: index %d outside vector of %d", i, v.n)
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-	return v.dev.Write(at, v.base+uint64(8*i), b[:])
+	binary.LittleEndian.PutUint64(v.word[:], math.Float64bits(x))
+	return v.dev.Write(at, v.base+uint64(8*i), v.word[:])
 }
 
 // Fill stores xs starting at element 0 in one bulk write.
@@ -65,7 +65,7 @@ func (v *Vec) Fill(at sim.Time, xs []float64) (sim.Time, error) {
 	if len(xs) > v.n {
 		return 0, fmt.Errorf("workload: %d values exceed vector of %d", len(xs), v.n)
 	}
-	buf := make([]byte, 8*len(xs))
+	buf := v.bytes(len(xs))
 	for i, x := range xs {
 		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
 	}
@@ -74,7 +74,8 @@ func (v *Vec) Fill(at sim.Time, xs []float64) (sim.Time, error) {
 
 // Snapshot loads the whole vector in one bulk read.
 func (v *Vec) Snapshot(at sim.Time) ([]float64, sim.Time, error) {
-	b, done, err := v.dev.Read(at, v.base, 8*v.n)
+	b := v.bytes(v.n)
+	done, err := mem.ReadIntoOf(v.dev, at, v.base, b)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -83,6 +84,16 @@ func (v *Vec) Snapshot(at sim.Time) ([]float64, sim.Time, error) {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out, done, nil
+}
+
+// bytes returns the Vec's bulk buffer cut to n elements. Devices copy
+// the bytes they are written and keep no read destination, so one
+// buffer serves every call.
+func (v *Vec) bytes(n int) []byte {
+	if v.buf == nil {
+		v.buf = make([]byte, 8*v.n)
+	}
+	return v.buf[:8*n]
 }
 
 // Jacobi1D runs `steps` iterations of the 3-point Jacobi stencil over the

@@ -127,7 +127,9 @@ func main() {
 			doc.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
 			doc.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
+		case strings.HasPrefix(line, "pkg:") && doc.Pkg == "":
+			// Several go test runs may feed one document; the first
+			// names the package of the suite benchmarks.
 			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
